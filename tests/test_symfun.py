@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from schurkit import (
     schur,
     schur_via_characters,
     t_var,
+    to_term_list,
     x_var,
 )
 from oracles import dp_partition_counts, naive_partitions
@@ -35,6 +39,14 @@ def shapes_up_to(max_boxes):
 
 def miwa_weight(mono):
     return sum(v.index * e for v, e in mono)
+
+
+HL_GOLDEN = Path(__file__).parent / "fixtures" / "hall_littlewood_golden.json"
+
+
+def hl_bytes(poly):
+    """Canonical text and compact JSON wire form, as the CLI prints them."""
+    return canonical_text(poly), json.dumps(to_term_list(poly), separators=(",", ":"))
 
 
 def oracle_homogeneous(n):
@@ -303,6 +315,23 @@ class TestHallLittlewood:
         base = hall_littlewood(lam, ctx, workers=1)
         assert hall_littlewood(lam, ctx, workers=2) == base
         assert hall_littlewood(lam, ctx, workers=3) == base
+
+    def test_matches_frozen_golden(self):
+        """Byte digests frozen from the antisymmetrize-and-divide build."""
+        golden = json.loads(HL_GOLDEN.read_text())["cases"]
+        cases = {
+            f"{n}|{','.join(map(str, lam.parts))}"
+            for n in range(3, 7)
+            for lam in shapes_up_to(6)
+            if lam.rows <= n
+        }
+        assert set(golden) == cases
+        for key, want in golden.items():
+            n, parts = key.split("|")
+            lam = YoungDiagram(tuple(int(p) for p in parts.split(",") if p))
+            text, wire = hl_bytes(hall_littlewood(lam, AlphabetContext(int(n))))
+            assert hashlib.sha256(text.encode()).hexdigest() == want["text"], key
+            assert hashlib.sha256(wire.encode()).hexdigest() == want["json"], key
 
 
 class TestMiwaPush:
