@@ -90,7 +90,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("hall-littlewood", help="Hall-Littlewood polynomial in x1..xN and Q")
     p.add_argument("parts")
     p.add_argument("--vars", type=int, default=3, metavar="N")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; must be positive, otherwise ignored")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("character", help="symmetric-group character of shape at a cycle type")

@@ -3,23 +3,23 @@
 Complete homogeneous and elementary polynomials live in the power-sum
 coordinates t; (skew-)Schur polynomials come from the determinant identity
 det(h_{lam_i - mu_j - i + j}); monomial and Hall-Littlewood polynomials live
-in a finite alphabet x1..xN, the latter carrying the deformation parameter Q.
+in a finite alphabet x1..xN, the latter carrying the deformation parameter Q
+and built letter by letter with Macdonald's horizontal-strip branching rule.
 ``miwa_push`` moves a t-polynomial into the alphabet via
 t_j -> (1/j) * (x1^j + ... + xN^j).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
-from itertools import permutations
+from functools import lru_cache
+from itertools import product
 from math import factorial
 
 from .characters import character
 from .partitions import ConjugacyClass, YoungDiagram, partitions_of
-from .polyalgebra import Polynomial, Variable, exact_divide, determinant, q_var, t_var, x_var
+from .polyalgebra import Polynomial, Variable, determinant, q_var, t_var, x_var
 
 __all__ = [
     "MiwaContext",
@@ -169,140 +169,86 @@ def monomial(lam: YoungDiagram, alphabet: AlphabetContext) -> Polynomial:
     return Polynomial(terms)
 
 
-@cache
-def _signed_permutations(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Every permutation of 0..n-1 with its sign."""
-    out = []
-    for perm in permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        out.append((-1 if inversions % 2 else 1, perm))
-    return tuple(out)
+# Integer polynomial in Q and x1..xk: {(Q power, exponent vector): coeff}.
+_QXTerms = dict[tuple[int, tuple[int, ...]], int]
 
 
-def _sort_sign(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """Descending sort of distinct entries with permutation sign, None on repeats."""
-    n = len(alpha)
-    inversions = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if alpha[i] == alpha[j]:
-                return None
-            if alpha[i] < alpha[j]:
-                inversions += 1
-    return tuple(sorted(alpha, reverse=True)), -1 if inversions % 2 else 1
+def _strip_factor(lam: tuple[int, ...], mu: tuple[int, ...]) -> dict[int, int]:
+    """psi_{lam/mu}(Q) as {Q power: coeff} for a horizontal strip lam/mu.
 
-
-def _pair_product(n: int) -> dict[tuple[int, tuple[int, ...]], int]:
-    """Expansion of prod_{i<j} (x_i - Q x_j) as {(Q power, exponents): coeff}."""
-    terms: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * n): 1}
-    for i in range(n):
-        for j in range(i + 1, n):
-            nxt: dict[tuple[int, tuple[int, ...]], int] = {}
-            for (k, alpha), c in terms.items():
-                up = list(alpha)
-                up[i] += 1
-                key = (k, tuple(up))
-                nxt[key] = nxt.get(key, 0) + c
-                down = list(alpha)
-                down[j] += 1
-                key = (k + 1, tuple(down))
-                nxt[key] = nxt.get(key, 0) - c
-            terms = {key: c for key, c in nxt.items() if c}
-    return terms
-
-
-def _expand_alternants(
-    classes: dict[tuple[int, tuple[int, ...]], int],
-    perms: tuple[tuple[int, tuple[int, ...]], ...],
-) -> dict[tuple[int, tuple[int, ...]], int]:
-    out: dict[tuple[int, tuple[int, ...]], int] = {}
-    for sgn, perm in perms:
-        for (k, beta), c in classes.items():
-            alpha = tuple(beta[p] for p in perm)
-            key = (k, alpha)
-            out[key] = out.get(key, 0) + sgn * c
-    return out
-
-
-def _q_bracket(j: int) -> Polynomial:
-    """1 + Q + ... + Q^{j-1}."""
-    return Polynomial({((q_var(), a),) if a else (): Fraction(1) for a in range(j)})
+    The product of (1 - Q^{m_j(mu)}) over the columns j >= 1 that hold no box
+    of the strip while column j+1 does (Macdonald III (5.8')).
+    """
+    strip = set()
+    for i, part in enumerate(lam):
+        strip.update(range((mu[i] if i < len(mu) else 0) + 1, part + 1))
+    factor = {0: 1}
+    for col in strip:
+        j = col - 1
+        if j < 1 or j in strip:
+            continue
+        m = mu.count(j)
+        nxt = dict(factor)
+        for k, c in factor.items():
+            nxt[k + m] = nxt.get(k + m, 0) - c
+        factor = nxt
+    return factor
 
 
 def hall_littlewood(lam: YoungDiagram, alphabet: AlphabetContext, workers: int = 1) -> Polynomial:
     """Hall-Littlewood polynomial P_lam(x1..xN; Q).
 
-    Computed without rational-function arithmetic: antisymmetrize
-    x^lam * prod_{i<j}(x_i - Q x_j) over the full symmetric group, divide
-    exactly by the Vandermonde product, then divide by the Q-factorial of
-    every row-multiplicity (zero rows counting N - rows(lam)).  At Q=0 this
-    degenerates to the Schur polynomial and at Q=1 to the monomial one.
+    Built one letter at a time by the branching rule of Macdonald, *Symmetric
+    Functions and Hall Polynomials*, III (5.8') and (5.11'):
+
+        P_lam(x1..xn; Q) = sum_mu psi_{lam/mu}(Q) * xn^{|lam|-|mu|} * P_mu(x1..x_{n-1}; Q),
+
+    summed over every mu with lam/mu a horizontal strip and at most n-1 rows,
+    from P_() = 1 at n = 0.  Every coefficient is an integer polynomial in Q,
+    so no division happens.  At Q=0 this degenerates to the Schur polynomial
+    and at Q=1 to the monomial one.  ``workers`` must be positive and is
+    otherwise ignored: the build runs in the calling thread.
     """
     n = alphabet.count
     if lam.rows > n:
         raise ValueError(f"partition has {lam.rows} rows but the alphabet only {n} variables")
     if workers < 1:
         raise ValueError("workers must be positive")
-    padded = lam.parts + (0,) * (n - lam.rows)
 
-    # One expansion of x^lam * prod (x_i - Q x_j), collapsed onto alternant
-    # classes: terms whose exponent vector repeats an entry antisymmetrize
-    # to zero and are dropped here.
-    classes: dict[tuple[int, tuple[int, ...]], int] = {}
-    for (k, alpha), c in _pair_product(n).items():
-        shifted = tuple(a + p for a, p in zip(alpha, padded))
-        sorted_sign = _sort_sign(shifted)
-        if sorted_sign is None:
-            continue
-        beta, sgn = sorted_sign
-        key = (k, beta)
-        s = classes.get(key, 0) + sgn * c
-        if s:
-            classes[key] = s
-        else:
-            del classes[key]
+    # P_mu(x1..xk), memoized per call on (mu, k).
+    memo: dict[tuple[tuple[int, ...], int], _QXTerms] = {}
 
-    # Full antisymmetrized numerator, the permutation sum split over workers;
-    # exact coefficients make the merge order irrelevant.
-    perms = _signed_permutations(n)
-    if workers == 1 or len(perms) < 2 * workers:
-        chunks = [_expand_alternants(classes, perms)]
-    else:
-        size = (len(perms) + workers - 1) // workers
-        slices = [perms[i: i + size] for i in range(0, len(perms), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda s: _expand_alternants(classes, s), slices))
-    merged: dict[tuple[int, tuple[int, ...]], int] = {}
-    for chunk in chunks:
-        for key, c in chunk.items():
-            s = merged.get(key, 0) + c
-            if s:
-                merged[key] = s
-            else:
-                del merged[key]
+    def build(mu: tuple[int, ...], k: int) -> _QXTerms:
+        if k == 0:
+            return {(0, ()): 1}
+        if (mu, k) in memo:
+            return memo[(mu, k)]
+        out: _QXTerms = {}
+        size = sum(mu)
+        bounds = zip(mu[1:] + (0,), mu)
+        for nu in product(*(range(low, high + 1) for low, high in bounds)):
+            nu = nu[:-1] if nu and not nu[-1] else nu
+            if len(nu) >= k:
+                continue
+            power = size - sum(nu)
+            psi = _strip_factor(mu, nu)
+            for (q, alpha), c in build(nu, k - 1).items():
+                alpha = alpha + (power,)
+                for dq, dc in psi.items():
+                    key = (q + dq, alpha)
+                    out[key] = out.get(key, 0) + c * dc
+        out = {key: c for key, c in out.items() if c}
+        memo[(mu, k)] = out
+        return out
 
+    xs = alphabet.variables()
     terms = {}
-    for (k, alpha), c in merged.items():
-        mono = (((q_var(), k),) if k else ()) + tuple(
-            (x_var(i + 1), e) for i, e in enumerate(alpha) if e
+    for (q, alpha), c in build(lam.parts, n).items():
+        mono = (((q_var(), q),) if q else ()) + tuple(
+            (xs[i], e) for i, e in enumerate(alpha) if e
         )
         terms[mono] = Fraction(c)
-    numerator = Polynomial(terms)
-
-    quotient = numerator
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            vandermonde_factor = Polynomial.variable(x_var(i)) - Polynomial.variable(x_var(j))
-            quotient = exact_divide(quotient, vandermonde_factor)
-
-    row_counts = list(lam.conjugacy_class().multiplicities.values())
-    row_counts.append(n - lam.rows)
-    for count in row_counts:
-        for j in range(2, count + 1):
-            quotient = exact_divide(quotient, _q_bracket(j))
-    return quotient
+    return Polynomial(terms)
 
 
 def miwa_push(p: Polynomial, alphabet: AlphabetContext) -> Polynomial:

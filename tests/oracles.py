@@ -2,12 +2,14 @@
 
 Nothing here may call into schurkit: partition counts come from the classic
 coin-style dynamic program, enumeration from bounded recursion, transposition
-from direct column counting.
+from direct column counting, the Hall-Littlewood numerator from summing over
+every permutation.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 
 
 def dp_partition_counts(limit: int) -> list[int]:
@@ -43,3 +45,36 @@ def grid_transpose(parts: tuple[int, ...]) -> tuple[int, ...]:
 def boxes_of(parts: tuple[int, ...]) -> set[tuple[int, int]]:
     """The diagram as a set of (row, column) cells, 1-indexed."""
     return {(i + 1, j + 1) for i, p in enumerate(parts) for j in range(p)}
+
+
+def hall_littlewood_numerator(parts: tuple[int, ...], n: int) -> dict[tuple[int, tuple[int, ...]], int]:
+    """sum_w sign(w) * w(x^lam * prod_{i<j} (x_i - Q x_j)) over all of S_n.
+
+    Returned as {(Q power, exponent vector): coeff}.  This is the numerator of
+    P_lam(x1..xn; Q) * Vandermonde * prod_m [m]_Q! in the symmetrization
+    definition (Macdonald III, section 2), expanded by brute force.
+    """
+    padded = tuple(parts) + (0,) * (n - len(parts))
+    expanded = {(0, padded): 1}
+    for i in range(n):
+        for j in range(i + 1, n):
+            nxt: dict[tuple[int, tuple[int, ...]], int] = {}
+            for (q, alpha), c in expanded.items():
+                for dq, var, sign in ((0, i, 1), (1, j, -1)):
+                    beta = list(alpha)
+                    beta[var] += 1
+                    key = (q + dq, tuple(beta))
+                    nxt[key] = nxt.get(key, 0) + sign * c
+            expanded = nxt
+    total: dict[tuple[int, tuple[int, ...]], int] = {}
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        sign = -1 if inversions % 2 else 1
+        for (q, alpha), c in expanded.items():
+            # w sends x_i to x_{perm[i]}, so the exponent of x_i moves to slot perm[i].
+            beta = [0] * n
+            for slot, e in zip(perm, alpha):
+                beta[slot] = e
+            key = (q, tuple(beta))
+            total[key] = total.get(key, 0) + sign * c
+    return {key: c for key, c in total.items() if c}

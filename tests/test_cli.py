@@ -179,6 +179,8 @@ class TestErrorPaths:
             ["character", "2,1", "--cycles", "2:1"],
             ["list", "-4"],
             ["homogeneous", "-1"],
+            ["hall-littlewood", "1,1,1", "--vars", "2"],
+            ["hall-littlewood", "2,1", "--vars", "3", "--workers", "0"],
         ],
     )
     def test_domain_errors_exit_two(self, argv, capsys):

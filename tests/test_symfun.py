@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from schurkit import (
     to_term_list,
     x_var,
 )
-from oracles import dp_partition_counts, naive_partitions
+from oracles import dp_partition_counts, hall_littlewood_numerator, naive_partitions
 
 T = {i: Polynomial.variable(t_var(i)) for i in range(1, 11)}
 X = {i: Polynomial.variable(x_var(i)) for i in range(1, 5)}
@@ -47,6 +49,30 @@ HL_GOLDEN = Path(__file__).parent / "fixtures" / "hall_littlewood_golden.json"
 def hl_bytes(poly):
     """Canonical text and compact JSON wire form, as the CLI prints them."""
     return canonical_text(poly), json.dumps(to_term_list(poly), separators=(",", ":"))
+
+
+def unit(n, i):
+    return tuple(1 if k == i else 0 for k in range(n))
+
+
+def as_int_dict(poly, n):
+    """{(Q power, exponent vector): int coeff} of an x/Q polynomial in n letters."""
+    out = {}
+    for mono, coeff in poly.terms.items():
+        assert coeff.denominator == 1
+        exps = dict(mono)
+        key = (exps.get(q_var(), 0), tuple(exps.get(x_var(i + 1), 0) for i in range(n)))
+        out[key] = int(coeff)
+    return out
+
+
+def times(a, b):
+    out = {}
+    for (qa, xa), ca in a.items():
+        for (qb, xb), cb in b.items():
+            key = (qa + qb, tuple(u + v for u, v in zip(xa, xb)))
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
 
 
 def oracle_homogeneous(n):
@@ -281,22 +307,24 @@ class TestHallLittlewood:
             assert poly.terms.get(mono) == 1
 
     def test_specializes_to_schur_at_zero(self):
-        ctx = AlphabetContext(3)
         zero = {q_var(): Polynomial.zero()}
-        for lam in shapes_up_to(4):
-            if lam.rows > 3:
-                continue
-            got = hall_littlewood(lam, ctx).substitute(zero)
-            assert got == miwa_push(schur(lam), ctx)
+        for n, max_boxes in ((3, 4), (5, 6), (6, 6)):
+            ctx = AlphabetContext(n)
+            for lam in shapes_up_to(max_boxes):
+                if lam.rows > n:
+                    continue
+                got = hall_littlewood(lam, ctx).substitute(zero)
+                assert got == miwa_push(schur(lam), ctx), (n, lam.parts)
 
     def test_specializes_to_monomial_at_one(self):
-        ctx = AlphabetContext(3)
         one = {q_var(): Polynomial.one()}
-        for lam in shapes_up_to(4):
-            if lam.rows > 3:
-                continue
-            got = hall_littlewood(lam, ctx).substitute(one)
-            assert got == monomial(lam, ctx)
+        for n, max_boxes in ((3, 4), (5, 6), (6, 6)):
+            ctx = AlphabetContext(n)
+            for lam in shapes_up_to(max_boxes):
+                if lam.rows > n:
+                    continue
+                got = hall_littlewood(lam, ctx).substitute(one)
+                assert got == monomial(lam, ctx), (n, lam.parts)
 
     def test_symmetric_under_swaps(self):
         poly = hall_littlewood(YoungDiagram((2, 1)), AlphabetContext(3))
@@ -316,6 +344,22 @@ class TestHallLittlewood:
         assert hall_littlewood(lam, ctx, workers=2) == base
         assert hall_littlewood(lam, ctx, workers=3) == base
 
+    def test_workers_start_no_thread(self, monkeypatch):
+        ctx = AlphabetContext(5)
+        lam = YoungDiagram((3, 2, 1))
+        base = hl_bytes(hall_littlewood(lam, ctx, workers=1))
+
+        def refuse(self):
+            raise AssertionError("hall_littlewood started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for w in (2, 3):
+            assert hl_bytes(hall_littlewood(lam, ctx, workers=w)) == base
+
+    def test_rejects_nonpositive_workers(self):
+        with pytest.raises(ValueError):
+            hall_littlewood(YoungDiagram((2, 1)), AlphabetContext(3), workers=0)
+
     def test_matches_frozen_golden(self):
         """Byte digests frozen from the antisymmetrize-and-divide build."""
         golden = json.loads(HL_GOLDEN.read_text())["cases"]
@@ -332,6 +376,46 @@ class TestHallLittlewood:
             text, wire = hl_bytes(hall_littlewood(lam, AlphabetContext(int(n))))
             assert hashlib.sha256(text.encode()).hexdigest() == want["text"], key
             assert hashlib.sha256(wire.encode()).hexdigest() == want["json"], key
+
+    def test_generic_q_numerator_oracle(self):
+        """P_lam * Vandermonde * prod_m [m]_Q! is the antisymmetrized numerator."""
+        for n in range(1, 6):
+            for lam in shapes_up_to(5):
+                if lam.rows > n:
+                    continue
+                factors = []
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        factors.append({(0, unit(n, i)): 1, (0, unit(n, j)): -1})
+                mults = list(lam.conjugacy_class().multiplicities.values())
+                for m in mults + [n - lam.rows]:
+                    for j in range(2, m + 1):
+                        factors.append({(a, (0,) * n): 1 for a in range(j)})
+                got = as_int_dict(hall_littlewood(lam, AlphabetContext(n)), n)
+                for factor in factors:
+                    got = times(got, factor)
+                assert got == hall_littlewood_numerator(lam.parts, n), (n, lam.parts)
+
+    def test_stable_under_dropping_last_letter(self):
+        """x_n = 0 sends P_lam(x1..xn) to P_lam(x1..x_{n-1}), or to 0 at rows = n."""
+        for n in range(2, 8):
+            for lam in shapes_up_to(6):
+                if lam.rows > n:
+                    continue
+                dropped = hall_littlewood(lam, AlphabetContext(n)).substitute(
+                    {x_var(n): Polynomial.zero()}
+                )
+                if lam.rows == n:
+                    assert dropped == Polynomial.zero(), (n, lam.parts)
+                else:
+                    assert dropped == hall_littlewood(lam, AlphabetContext(n - 1)), (n, lam.parts)
+
+    def test_eight_letters_within_budget(self):
+        """Fails if the build goes back to a cost that grows like n!."""
+        start = time.perf_counter()
+        poly = hall_littlewood(YoungDiagram((3, 2, 1)), AlphabetContext(8))
+        assert time.perf_counter() - start < 5.0
+        assert len(poly.terms) == 4648
 
 
 class TestMiwaPush:
