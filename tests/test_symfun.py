@@ -44,11 +44,37 @@ def miwa_weight(mono):
 
 
 HL_GOLDEN = Path(__file__).parent / "fixtures" / "hall_littlewood_golden.json"
+MIWA_GOLDEN = Path(__file__).parent / "fixtures" / "miwa_golden.json"
 
 
 def hl_bytes(poly):
     """Canonical text and compact JSON wire form, as the CLI prints them."""
     return canonical_text(poly), json.dumps(to_term_list(poly), separators=(",", ":"))
+
+
+def parts_key(lam):
+    return ",".join(map(str, lam.parts))
+
+
+def miwa_golden_cases():
+    """(key, thunk) for every case in MIWA_GOLDEN, in a fixed order."""
+    for n in range(21):
+        yield f"homogeneous|{n}", lambda n=n: homogeneous(n)
+        yield f"elementary|{n}", lambda n=n: elementary(n)
+    for lam in shapes_up_to(8):
+        yield f"schur|{parts_key(lam)}", lambda lam=lam: schur(lam)
+        yield f"schur_via_characters|{parts_key(lam)}", lambda lam=lam: schur_via_characters(lam)
+    for lam in shapes_up_to(6):
+        for mu in shapes_up_to(lam.boxes):
+            if lam.contains(mu):
+                yield f"skew|{parts_key(lam)}/{parts_key(mu)}", lambda lam=lam, mu=mu: schur(lam, mu)
+    for n in range(3, 6):
+        for lam in shapes_up_to(5):
+            yield (f"miwa_push|{n}|{parts_key(lam)}",
+                   lambda lam=lam, n=n: miwa_push(schur(lam), AlphabetContext(n)))
+    for n in range(3, 7):
+        for lam in shapes_up_to(6):
+            yield f"monomial|{n}|{parts_key(lam)}", lambda lam=lam, n=n: monomial(lam, AlphabetContext(n))
 
 
 def unit(n, i):
@@ -461,3 +487,16 @@ class TestContexts:
             MiwaContext(-1)
         with pytest.raises(ValueError):
             AlphabetContext(-2)
+
+
+class TestMiwaGolden:
+    def test_matches_frozen_golden(self):
+        """Byte digests of h, e, (skew) Schur, miwa_push and monomial, frozen
+        before the Miwa term builder was shared."""
+        golden = json.loads(MIWA_GOLDEN.read_text())["cases"]
+        cases = dict(miwa_golden_cases())
+        assert set(golden) == set(cases)
+        for key, build in cases.items():
+            text, wire = hl_bytes(build())
+            assert hashlib.sha256(text.encode()).hexdigest() == golden[key]["text"], key
+            assert hashlib.sha256(wire.encode()).hexdigest() == golden[key]["json"], key
