@@ -2,17 +2,18 @@
 
 Three variable families exist: the power-sum coordinates ``t1, t2, ...``, the
 alphabet ``x1, x2, ...`` and the lone deformation parameter ``Q``.  Variables
-are totally ordered Q < t1 < t2 < ... < x1 < x2 < ...; a monomial is a sorted
-tuple of (variable, exponent) pairs and a polynomial a map from monomials to
-nonzero Fractions.  All arithmetic is exact; there is no floating point here.
+are (kind, index) tuples ordered Q < t1 < t2 < ... < x1 < x2 < ...; a monomial
+is a tuple of (variable, exponent) pairs in that order and a polynomial a map
+from monomials to nonzero Fractions.  All arithmetic is exact; there is no
+floating point here.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Mapping
+from typing import NamedTuple
 
 __all__ = [
     "Variable",
@@ -29,28 +30,24 @@ __all__ = [
     "from_term_list",
 ]
 
-_KIND_RANK = {"Q": 0, "t": 1, "x": 2}
 
+class Variable(NamedTuple("Variable", [("kind", str), ("index", int)])):
+    """A typed variable: Q, or t/x with a positive index.  Tuple order is the
+    canonical order: "Q" < "t" < "x", and indices compare as ints (t2 < t10)."""
 
-@dataclass(frozen=True)
-class Variable:
-    """A typed variable: Q, or t/x with a positive index."""
+    __slots__ = ()
 
-    kind: str
-    index: int = 0
-
-    def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown variable kind {self.kind!r}")
-        if self.kind == "Q":
-            if self.index != 0:
+    def __new__(cls, kind: str, index: int = 0):
+        if kind not in ("Q", "t", "x"):
+            raise ValueError(f"unknown variable kind {kind!r}")
+        if type(index) is not int:
+            raise ValueError(f"variable index must be an int, got {index!r}")
+        if kind == "Q":
+            if index != 0:
                 raise ValueError("Q carries no index")
-        elif self.index < 1:
-            raise ValueError(f"{self.kind}-variables need a positive index")
-
-    @property
-    def rank(self) -> tuple[int, int]:
-        return (_KIND_RANK[self.kind], self.index)
+        elif index < 1:
+            raise ValueError(f"{kind}-variables need a positive index")
+        return super().__new__(cls, kind, index)
 
     @property
     def name(self) -> str:
@@ -72,23 +69,24 @@ def q_var() -> Variable:
     return Variable("Q")
 
 
-# A monomial is a tuple of (Variable, exponent) pairs, exponents positive,
-# sorted by variable rank.  The empty tuple is the unit monomial.
+# A monomial is a tuple of (Variable, exponent) pairs: exponents positive,
+# variables distinct and ascending.  The empty tuple is the unit monomial.
 Monomial = tuple[tuple[Variable, int], ...]
 
-_SENTINEL = ((3,),)
+# Sorts after every (Variable, -exponent) pair, since "y" > "x".
+_SENTINEL = (("y",),)
 
 
 def _mono_key(mono: Monomial):
     """Sort key realising descending lexicographic order on exponent vectors.
 
-    Walking variables in increasing rank, a larger exponent at the first
+    Walking variables in ascending order, a larger exponent at the first
     differing variable makes the larger monomial; the key inverts exponents so
     that plain ascending tuple order on keys is exactly that descending order.
     The sentinel makes a monomial whose support is a strict prefix of
     another's compare correctly (fewer variables = smaller monomial).
     """
-    return tuple((v.rank, -e) for v, e in mono) + (_SENTINEL,)
+    return tuple((v, -e) for v, e in mono) + (_SENTINEL,)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -99,7 +97,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     exps = dict(a)
     for v, e in b:
         exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items(), key=lambda ve: ve[0].rank))
+    return tuple(sorted(exps.items()))
 
 
 def _mono_div(num: Monomial, den: Monomial) -> Monomial | None:
@@ -113,7 +111,7 @@ def _mono_div(num: Monomial, den: Monomial) -> Monomial | None:
             del exps[v]
         else:
             exps[v] = have - e
-    return tuple(sorted(exps.items(), key=lambda ve: ve[0].rank))
+    return tuple(sorted(exps.items()))
 
 
 class ExactDivisionError(ArithmeticError):
@@ -126,13 +124,23 @@ class Polynomial:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
+        """Sum the terms; the only place raw monomials become canonical.  Pairs
+        may come in any order and zero exponents drop out; a repeated variable,
+        a non-Variable key or a negative or non-int exponent raises ValueError."""
         clean: dict[Monomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
+            for v, e in mono:
+                if type(v) is not Variable or type(e) is not int or e < 0:
+                    raise ValueError(f"monomial factor ({v!r}, {e!r}) needs a Variable "
+                                     "and a nonnegative int exponent")
+            if len(dict(mono)) != len(mono):
+                raise ValueError(f"a variable is repeated in the monomial {mono!r}")
+            mono = tuple(sorted([ve for ve in mono if ve[1]]))
             c = Fraction(coeff)
             if not c:
                 continue
-            mono = tuple(sorted(((v, e) for v, e in mono if e), key=lambda ve: ve[0].rank))
-            s = clean.get(mono, 0) + c
+            old = clean.get(mono)
+            s = c if old is None else old + c
             if s:
                 clean[mono] = s
             else:
@@ -160,11 +168,7 @@ class Polynomial:
 
     @classmethod
     def term(cls, coeff: Fraction | int, exponents: Mapping[Variable, int]) -> "Polynomial":
-        mono = tuple(sorted(((v, e) for v, e in exponents.items() if e), key=lambda ve: ve[0].rank))
-        for _, e in mono:
-            if e < 0:
-                raise ValueError("exponents must be nonnegative")
-        return cls({mono: Fraction(coeff)})
+        return cls({tuple(exponents.items()): coeff})
 
     # -- basic queries ----------------------------------------------------
 
@@ -357,8 +361,8 @@ def exact_divide(num: Polynomial, den: Polynomial) -> Polynomial:
     """Exact polynomial quotient; raises ExactDivisionError on a remainder.
 
     Standard single-divisor monomial division under the canonical order, with
-    a lazy heap over the remainder so that division by short divisors (the
-    Vandermonde binomials, the Q-brackets) stays near-linear in the output.
+    a lazy heap over the remainder so that division by a short divisor, such
+    as a binomial, stays near-linear in the output.
     """
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -441,17 +445,17 @@ def to_term_list(p: Polynomial) -> list[dict]:
 def _parse_variable(name: str) -> Variable:
     if name == "Q":
         return q_var()
-    kind, idx = name[0], name[1:]
-    if kind in ("t", "x") and idx.isdigit() and int(idx) >= 1:
+    kind, idx = name[:1], name[1:]
+    if kind in ("t", "x") and idx.isascii() and idx.isdigit() and idx[0] != "0":
         return Variable(kind, int(idx))
     raise ValueError(f"unknown variable name {name!r}")
 
 
 def from_term_list(data: list[dict]) -> Polynomial:
-    """Decode the wire form produced by :func:`to_term_list`."""
-    total = Polynomial.zero()
+    """Decode the wire form produced by :func:`to_term_list`; a non-canonical
+    name (``x01``) or a non-int exponent raises ValueError."""
+    terms: dict[Monomial, Fraction] = {}
     for entry in data:
-        coeff = Fraction(entry["coeff"])
-        exps = {_parse_variable(name): int(e) for name, e in entry["monomial"].items()}
-        total = total + Polynomial.term(coeff, exps)
-    return total
+        mono = tuple((_parse_variable(name), e) for name, e in entry["monomial"].items())
+        terms[mono] = terms.get(mono, 0) + Fraction(entry["coeff"])
+    return Polynomial(terms)

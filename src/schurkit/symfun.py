@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 from .characters import character
 from .partitions import ConjugacyClass, YoungDiagram, partitions_of
@@ -62,6 +62,20 @@ class AlphabetContext:
         return tuple(x_var(i) for i in range(1, self.count + 1))
 
 
+def _miwa_sum(n: int, weight) -> Polynomial:
+    """sum_mu weight(mu) * prod_j t_j^{k_j} / k_j! over the cycle types mu of n,
+    k_j the number of j-cycles: the Miwa form of sum_mu weight(mu) p_mu / z_mu."""
+    terms = {}
+    for shape in partitions_of(n):
+        mu = shape.conjugacy_class()
+        w = weight(mu)
+        if w:
+            mult = mu.multiplicities
+            mono = tuple((t_var(j), k) for j, k in mult.items())
+            terms[mono] = Fraction(w, prod(map(factorial, mult.values())))
+    return Polynomial(terms)
+
+
 @lru_cache(maxsize=None)
 def homogeneous(n: int) -> Polynomial:
     """Complete homogeneous polynomial h_n in the t-coordinates.
@@ -71,26 +85,16 @@ def homogeneous(n: int) -> Polynomial:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = Polynomial.zero()
-    for lam in partitions_of(n):
-        denom = 1
-        exps = {}
-        for j, k in lam.conjugacy_class().multiplicities.items():
-            denom *= factorial(k)
-            exps[t_var(j)] = k
-        total = total + Polynomial.term(Fraction(1, denom), exps)
-    return total
+    return _miwa_sum(n, lambda mu: 1)
 
 
 @lru_cache(maxsize=None)
 def elementary(n: int) -> Polynomial:
-    """Elementary polynomial e_n = (-1)^n h_n with every t_j negated."""
+    """Elementary polynomial e_n = sum_mu (-1)^{n - rows(mu)} prod_j t_j^{k_j} / k_j!
+    in the t-coordinates, over the same mu as h_n (Macdonald I (2.14'))."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    h = homogeneous(n)
-    flips = {v: -Polynomial.variable(v) for v in h.variables()}
-    e = h.substitute(flips)
-    return -e if n % 2 else e
+    return _miwa_sum(n, lambda mu: (-1) ** (n - len(mu.cycles())))
 
 
 def _h_or_zero(k: int) -> Polynomial:
@@ -123,19 +127,7 @@ def schur_via_characters(lam: YoungDiagram) -> Polynomial:
     Independent route: sum over all mu of the same weight of
     chi^lam(mu) * prod_j t_j^{k_j} / k_j!.
     """
-    total = Polynomial.zero()
-    for mu in partitions_of(lam.boxes):
-        cc = mu.conjugacy_class()
-        chi = character(lam, cc)
-        if not chi:
-            continue
-        denom = 1
-        exps = {}
-        for j, k in cc.multiplicities.items():
-            denom *= factorial(k)
-            exps[t_var(j)] = k
-        total = total + Polynomial.term(Fraction(chi, denom), exps)
-    return total
+    return _miwa_sum(lam.boxes, lambda mu: character(lam, mu))
 
 
 def _distinct_permutations(seq: tuple[int, ...]):
@@ -247,7 +239,7 @@ def hall_littlewood(lam: YoungDiagram, alphabet: AlphabetContext, workers: int =
         mono = (((q_var(), q),) if q else ()) + tuple(
             (xs[i], e) for i, e in enumerate(alpha) if e
         )
-        terms[mono] = Fraction(c)
+        terms[mono] = c
     return Polynomial(terms)
 
 
@@ -257,10 +249,8 @@ def miwa_push(p: Polynomial, alphabet: AlphabetContext) -> Polynomial:
     if bad:
         raise ValueError(f"polynomial must use only t-variables, found {bad[0].name}")
     n = alphabet.count
-    bindings = {}
-    for v in p.variables():
-        power_sum = Polynomial.zero()
-        for i in range(1, n + 1):
-            power_sum = power_sum + Polynomial.term(Fraction(1, v.index), {x_var(i): v.index})
-        bindings[v] = power_sum
+    bindings = {
+        v: Polynomial({((x_var(i), v.index),): Fraction(1, v.index) for i in range(1, n + 1)})
+        for v in p.variables()
+    }
     return p.substitute(bindings)

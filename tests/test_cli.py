@@ -161,7 +161,7 @@ class TestBenchCommand:
     def test_hall_littlewood(self):
         status, text = run(["bench", "hall-littlewood", "3", "--csv"])
         assert status == 0
-        assert text.splitlines()[1].startswith("hall-littlewood,3,6,")
+        assert text.splitlines()[1].startswith("hall-littlewood,3,9,")
 
     def test_size_bounds(self, capsys):
         assert run(["bench", "partitions", "81"])[0] == 2

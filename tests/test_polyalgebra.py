@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from schurkit import (
     ExactDivisionError,
     Polynomial,
+    Variable,
     canonical_text,
     determinant,
     exact_divide,
@@ -71,6 +73,65 @@ class TestRingAxioms:
     def test_power_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
             T1 ** (-1)
+
+
+class TestVariable:
+    def test_sorting_gives_canonical_order(self):
+        canonical = [q_var()] + [t_var(i) for i in range(1, 13)] + [x_var(i) for i in range(1, 13)]
+        shuffled = list(canonical)
+        random.Random(3).shuffle(shuffled)
+        assert sorted(shuffled) == canonical
+
+    def test_indices_compare_numerically(self):
+        T10 = Polynomial.variable(t_var(10))
+        assert canonical_text(T2 + T10) == "t2 + t10"
+
+    def test_immutable(self):
+        v = t_var(2)
+        with pytest.raises(AttributeError):
+            v.index = 3
+        with pytest.raises(AttributeError):
+            v.kind = "x"
+        assert v == t_var(2)
+
+    @pytest.mark.parametrize("index", [1.0, True, "1"])
+    def test_rejects_non_int_index(self, index):
+        with pytest.raises(ValueError):
+            Variable("t", index)
+
+
+class TestMalformedMonomials:
+    def test_rejects_repeated_variable(self):
+        with pytest.raises(ValueError):
+            Polynomial({((x_var(1), 1), (x_var(1), 1)): 1})
+
+    def test_rejects_negative_exponent(self):
+        with pytest.raises(ValueError):
+            Polynomial({((x_var(1), -2),): 1})
+
+    @pytest.mark.parametrize("key", ["x1", ("x", 1)])
+    def test_rejects_non_variable_key(self, key):
+        with pytest.raises(ValueError):
+            Polynomial({((key, 1),): 1})
+
+    @pytest.mark.parametrize("exponent", [1.7, 2.0, True])
+    def test_rejects_non_int_exponent(self, exponent):
+        with pytest.raises(ValueError):
+            Polynomial({((x_var(1), exponent),): 1})
+
+    @pytest.mark.parametrize("name", ["x01", "", "t\u0663"])
+    def test_term_list_rejects_non_canonical_name(self, name):
+        with pytest.raises(ValueError):
+            from_term_list([{"coeff": "1", "monomial": {name: 1}}])
+
+    def test_term_list_rejects_non_int_exponent(self):
+        with pytest.raises(ValueError):
+            from_term_list([{"coeff": "1", "monomial": {"x1": 1.7}}])
+
+    def test_unordered_monomial_is_normalized(self):
+        p = Polynomial({((x_var(2), 1), (q_var(), 0), (t_var(1), 3)): 2})
+        assert p == 2 * T1**3 * X2
+        assert canonical_text(p) == "2*t1**3*x2"
 
 
 class TestEquality:
