@@ -49,6 +49,11 @@ class Variable(NamedTuple("Variable", [("kind", str), ("index", int)])):
             raise ValueError(f"{kind}-variables need a positive index")
         return super().__new__(cls, kind, index)
 
+    @classmethod
+    def _make(cls, iterable) -> "Variable":
+        # namedtuple's _make (and so _replace) would skip the checks above.
+        return cls(*iterable)
+
     @property
     def name(self) -> str:
         return "Q" if self.kind == "Q" else f"{self.kind}{self.index}"

@@ -1,11 +1,23 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import schurkit
 from schurkit import canonical_text, from_term_list
 from schurkit.cli import main, run
+
+# A child `python -m schurkit.cli` imports the same package as this process,
+# also when only pytest's `pythonpath` setting puts it on the path.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(schurkit.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")
+    ])),
+}
 
 S321 = "t1**6/45 - t1**3*t3/3 + t1*t5 - t3**2"
 M321 = (
@@ -242,6 +254,7 @@ class TestMainAndProcess:
             [sys.executable, "-m", "schurkit.cli", "schur", "3,2,1"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert proc.stdout == S321 + "\n"
@@ -252,6 +265,7 @@ class TestMainAndProcess:
             [sys.executable, "-m", "schurkit.cli", "schur", "1,2,3"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""

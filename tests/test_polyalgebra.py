@@ -99,6 +99,11 @@ class TestVariable:
         with pytest.raises(ValueError):
             Variable("t", index)
 
+    def test_replace_validates(self):
+        assert t_var(1)._replace(index=4) == t_var(4)
+        with pytest.raises(ValueError):
+            t_var(1)._replace(index=0)
+
 
 class TestMalformedMonomials:
     def test_rejects_repeated_variable(self):
