@@ -1,5 +1,8 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,9 @@ N4_TABLE = {
     (2, 1, 1): [3, -1, -1, 0, 1],
     (1, 1, 1, 1): [1, -1, 1, 1, -1],
 }
+
+
+CHARACTER_GOLDEN = Path(__file__).parent / "fixtures" / "character_golden.json"
 
 
 def classes_of(n):
@@ -79,6 +85,18 @@ class TestKnownTables:
     def test_weight_mismatch_rejected(self):
         with pytest.raises(ValueError):
             character(YoungDiagram((2, 1)), ConjugacyClass({2: 1}))
+
+
+    def test_matches_frozen_golden(self):
+        """Digests of the full tables for n <= 14, frozen from the recursive
+        border-strip build."""
+        golden = json.loads(CHARACTER_GOLDEN.read_text())["cases"]
+        assert set(golden) == {str(n) for n in range(15)}
+        for n in range(15):
+            classes = classes_of(n)
+            rows = [[character(s, cc) for cc in classes] for s in partitions_of(n)]
+            wire = json.dumps(rows, separators=(",", ":"))
+            assert hashlib.sha256(wire.encode()).hexdigest() == golden[str(n)], n
 
 
 class TestOrthogonality:
