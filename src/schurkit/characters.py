@@ -1,10 +1,10 @@
-"""Symmetric-group characters by recursive border-strip removal.
+"""Symmetric-group characters by the Murnaghan-Nakayama rule.
 
 ``character(shape, cycle_type)`` peels one border strip per cycle, largest
 cycles first, weighting each removal by (-1)^height with height = rows
-occupied minus one.  Removals are found on the beta-number encoding
-(first-column hook lengths), where stripping a hook of length r is just
-"subtract r from one beta number without colliding with another".
+occupied minus one.  Shapes are beta-sets (first-column hook lengths) packed
+into an int, where stripping a hook of length r moves one set bit down by r
+onto a clear bit; the cycles are consumed in one loop, layer by layer.
 """
 
 from __future__ import annotations
@@ -25,40 +25,28 @@ def z_order(mu: ConjugacyClass) -> int:
     return out
 
 
-def _beta(parts: tuple[int, ...]) -> list[int]:
-    m = len(parts)
-    return [parts[i] + (m - 1 - i) for i in range(m)]
-
-
-def _from_beta(beta: list[int]) -> tuple[int, ...]:
-    beta = sorted(beta, reverse=True)
-    m = len(beta)
-    parts = [beta[i] - (m - 1 - i) for i in range(m)]
-    return tuple(p for p in parts if p)
-
-
-def _strip_hooks(parts: tuple[int, ...], r: int):
-    """Yield (height, smaller shape) for every removable border strip of size r."""
-    beta = _beta(parts)
-    present = set(beta)
-    for i, b in enumerate(beta):
-        nb = b - r
-        if nb < 0 or nb in present:
-            continue
-        height = sum(1 for other in beta if nb < other < b)
-        rest = beta[:i] + [nb] + beta[i + 1:]
-        yield height, _from_beta(rest)
-
-
 @cache
-def _character_rec(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    if not cycles:
-        return 1 if not parts else 0
-    r, rest = cycles[0], cycles[1:]
-    total = 0
-    for height, smaller in _strip_hooks(parts, r):
-        total += (-1) ** height * _character_rec(smaller, rest)
-    return total
+def _character(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """One {beta-set: signed count} layer per cycle.  The beta-set has bit
+    parts[i] + m-1-i for each of the m rows; a strip of size r moves a set bit
+    b to the clear bit b-r, signed by the parity of the set bits between them.
+    Only the empty shape's beta-set survives the last cycle."""
+    m = len(parts)
+    layer = {sum(1 << (p + m - 1 - i) for i, p in enumerate(parts)): 1}
+    for r in cycles:
+        between = (1 << (r - 1)) - 1
+        nxt: dict[int, int] = {}
+        for beta, count in layer.items():
+            # Bit a is set when a+r is in the beta-set and a is not.
+            free = (beta & ~(beta << r)) >> r
+            while free:
+                low = free & -free
+                free ^= low
+                moved = beta ^ low ^ (low << r)
+                height = (beta >> low.bit_length() & between).bit_count()
+                nxt[moved] = nxt.get(moved, 0) + (-count if height & 1 else count)
+        layer = nxt
+    return sum(layer.values())
 
 
 def character(shape: YoungDiagram, cycle_type: ConjugacyClass) -> int:
@@ -67,7 +55,7 @@ def character(shape: YoungDiagram, cycle_type: ConjugacyClass) -> int:
         raise ValueError(
             f"shape has {shape.boxes} boxes but the cycle type has weight {cycle_type.weight}"
         )
-    return _character_rec(shape.parts, cycle_type.cycles())
+    return _character(shape.parts, cycle_type.cycles())
 
 
 def dimension(shape: YoungDiagram) -> int:

@@ -450,17 +450,31 @@ def to_term_list(p: Polynomial) -> list[dict]:
 def _parse_variable(name: str) -> Variable:
     if name == "Q":
         return q_var()
-    kind, idx = name[:1], name[1:]
-    if kind in ("t", "x") and idx.isascii() and idx.isdigit() and idx[0] != "0":
-        return Variable(kind, int(idx))
+    if isinstance(name, str):
+        kind, idx = name[:1], name[1:]
+        if kind in ("t", "x") and idx.isascii() and idx.isdigit() and idx[0] != "0":
+            return Variable(kind, int(idx))
     raise ValueError(f"unknown variable name {name!r}")
 
 
 def from_term_list(data: list[dict]) -> Polynomial:
-    """Decode the wire form produced by :func:`to_term_list`; a non-canonical
-    name (``x01``) or a non-int exponent raises ValueError."""
+    """Decode the wire form produced by :func:`to_term_list`, a list of
+    ``{"coeff": "p/q", "monomial": {name: exponent}}``.  Anything else (a
+    missing key, a non-string coefficient, a zero denominator, a non-canonical
+    name such as ``x01``, a non-int exponent) raises ValueError."""
+    if not isinstance(data, list):
+        raise ValueError(f"a term list must be a list, got {type(data).__name__}")
     terms: dict[Monomial, Fraction] = {}
     for entry in data:
+        if not (isinstance(entry, dict) and type(entry.get("coeff")) is str
+                and isinstance(entry.get("monomial"), dict)
+                and all(type(e) is int for e in entry["monomial"].values())):
+            raise ValueError(f"malformed term {entry!r}: needs a string coeff "
+                             "and a monomial of int exponents")
+        try:
+            coeff = Fraction(entry["coeff"])
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"coefficient {entry['coeff']!r} is not a fraction") from None
         mono = tuple((_parse_variable(name), e) for name, e in entry["monomial"].items())
-        terms[mono] = terms.get(mono, 0) + Fraction(entry["coeff"])
+        terms[mono] = terms.get(mono, 0) + coeff
     return Polynomial(terms)

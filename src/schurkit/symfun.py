@@ -195,11 +195,13 @@ def hall_littlewood(lam: YoungDiagram, alphabet: AlphabetContext, workers: int =
 
         P_lam(x1..xn; Q) = sum_mu psi_{lam/mu}(Q) * xn^{|lam|-|mu|} * P_mu(x1..x_{n-1}; Q),
 
-    summed over every mu with lam/mu a horizontal strip and at most n-1 rows,
-    from P_() = 1 at n = 0.  Every coefficient is an integer polynomial in Q,
-    so no division happens.  At Q=0 this degenerates to the Schur polynomial
-    and at Q=1 to the monomial one.  ``workers`` must be positive and is
-    otherwise ignored: the build runs in the calling thread.
+    summed over every mu with lam/mu a horizontal strip and at most n-1 rows.
+    One loop unrolls it top-down, from lam in N letters to P_() = 1 in none,
+    peeling one letter per step off every shape of a {shape: terms} layer.
+    Every coefficient is an integer polynomial in Q, so no division happens.
+    At Q=0 this degenerates to the Schur polynomial and at Q=1 to the
+    monomial one.  ``workers`` must be positive and is otherwise ignored: the
+    build runs in the calling thread.
     """
     n = alphabet.count
     if lam.rows > n:
@@ -207,35 +209,31 @@ def hall_littlewood(lam: YoungDiagram, alphabet: AlphabetContext, workers: int =
     if workers < 1:
         raise ValueError("workers must be positive")
 
-    # P_mu(x1..xk), memoized per call on (mu, k).
-    memo: dict[tuple[tuple[int, ...], int], _QXTerms] = {}
-
-    def build(mu: tuple[int, ...], k: int) -> _QXTerms:
-        if k == 0:
-            return {(0, ()): 1}
-        if (mu, k) in memo:
-            return memo[(mu, k)]
-        out: _QXTerms = {}
-        size = sum(mu)
-        bounds = zip(mu[1:] + (0,), mu)
-        for nu in product(*(range(low, high + 1) for low, high in bounds)):
-            nu = nu[:-1] if nu and not nu[-1] else nu
-            if len(nu) >= k:
-                continue
-            power = size - sum(nu)
-            psi = _strip_factor(mu, nu)
-            for (q, alpha), c in build(nu, k - 1).items():
-                alpha = alpha + (power,)
-                for dq, dc in psi.items():
-                    key = (q + dq, alpha)
-                    out[key] = out.get(key, 0) + c * dc
-        out = {key: c for key, c in out.items() if c}
-        memo[(mu, k)] = out
-        return out
+    # layer[mu] holds the terms in x_{k+1}..xn of every path from lam down to
+    # mu, one letter at a time; after x1 only the empty shape is left.
+    layer: dict[tuple[int, ...], _QXTerms] = {lam.parts: {(0, ()): 1}}
+    for k in range(n, 0, -1):
+        nxt: dict[tuple[int, ...], _QXTerms] = {}
+        for mu, above in layer.items():
+            size = sum(mu)
+            bounds = zip(mu[1:] + (0,), mu)
+            for nu in product(*(range(low, high + 1) for low, high in bounds)):
+                nu = nu[:-1] if nu and not nu[-1] else nu
+                if len(nu) >= k:
+                    continue
+                power = size - sum(nu)
+                psi = _strip_factor(mu, nu)
+                out = nxt.setdefault(nu, {})
+                for (q, alpha), c in above.items():
+                    alpha = (power,) + alpha
+                    for dq, dc in psi.items():
+                        key = (q + dq, alpha)
+                        out[key] = out.get(key, 0) + c * dc
+        layer = nxt
 
     xs = alphabet.variables()
     terms = {}
-    for (q, alpha), c in build(lam.parts, n).items():
+    for (q, alpha), c in layer[()].items():
         mono = (((q_var(), q),) if q else ()) + tuple(
             (xs[i], e) for i, e in enumerate(alpha) if e
         )

@@ -3,7 +3,7 @@
 Nothing here may call into schurkit: partition counts come from the classic
 coin-style dynamic program, enumeration from bounded recursion, transposition
 from direct column counting, the Hall-Littlewood numerator from summing over
-every permutation.
+every permutation, characters from the Frobenius formula.
 """
 
 from __future__ import annotations
@@ -78,3 +78,28 @@ def hall_littlewood_numerator(parts: tuple[int, ...], n: int) -> dict[tuple[int,
             key = (q, tuple(beta))
             total[key] = total.get(key, 0) + sign * c
     return {key: c for key, c in total.items() if c}
+
+
+def frobenius_character(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """chi^lam(mu) as the coefficient of x^(lam+delta) in a_delta * p_mu.
+
+    Frobenius' formula over m = rows(lam) letters, delta = (m-1, ..., 0):
+    p_mu is expanded one power sum at a time, and a_delta = sum_w sign(w)
+    x^(w delta) contributes the coefficient of x^(lam + delta - w delta).
+    """
+    m = len(parts)
+    power_sums = {(0,) * m: 1}
+    for r in cycles:
+        nxt: dict[tuple[int, ...], int] = {}
+        for alpha, c in power_sums.items():
+            for i in range(m):
+                beta = alpha[:i] + (alpha[i] + r,) + alpha[i + 1:]
+                nxt[beta] = nxt.get(beta, 0) + c
+        power_sums = nxt
+    total = 0
+    for perm in permutations(range(m)):
+        inversions = sum(perm[a] > perm[b] for a in range(m) for b in range(a + 1, m))
+        # (w delta)_i = m-1-perm[i], so lam + delta - w delta has entry parts[i] - i + perm[i].
+        need = tuple(p - i + perm[i] for i, p in enumerate(parts))
+        total += (-1) ** inversions * power_sums.get(need, 0)
+    return total

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from schurkit import ConjugacyClass, YoungDiagram, character, dimension, partitions_of, z_order
-from schurkit.characters import _character_rec
+from schurkit.characters import _character
+
+from oracles import frobenius_character
 
 # Rows are shapes, columns are classes in the listed order.  Both tables are
 # the classic ones; the entries can be rechecked by hand from fixed points
@@ -82,6 +84,10 @@ class TestKnownTables:
                 length = sum(cc.multiplicities.values())
                 assert character(lam, cc) == (-1) ** (n - length)
 
+    def test_sign_character_on_fifteen_hundred_boxes(self):
+        lam = YoungDiagram((1,) * 1500)
+        assert character(lam, ConjugacyClass({2: 749, 1: 2})) == -1
+
     def test_weight_mismatch_rejected(self):
         with pytest.raises(ValueError):
             character(YoungDiagram((2, 1)), ConjugacyClass({2: 1}))
@@ -142,14 +148,26 @@ class TestStructure:
                     assert character(flipped, cc) == sign * character(lam, cc)
 
     def test_cycle_order_irrelevant(self):
-        """The recursion gives one value no matter how cycles are fed in."""
+        """The layered loop gives one value no matter how cycles are fed in."""
         for n in range(8):
             for lam in partitions_of(n):
                 for cc in classes_of(n):
                     descending = cc.cycles()
                     ascending = tuple(sorted(descending))
-                    assert _character_rec(lam.parts, ascending) == _character_rec(
+                    assert _character(lam.parts, ascending) == _character(
                         lam.parts, descending
+                    )
+
+
+class TestFrobeniusOracle:
+    def test_matches_frobenius_formula(self):
+        """Every character for n <= 7 against the coefficient of x^(lam+delta)
+        in a_delta * p_mu."""
+        for n in range(8):
+            for lam in partitions_of(n):
+                for cc in classes_of(n):
+                    assert character(lam, cc) == frobenius_character(lam.parts, cc.cycles()), (
+                        lam.parts, cc.cycles()
                     )
 
 

@@ -244,6 +244,27 @@ class TestDeterminism:
         assert first == second
 
 
+class TestLongInputs:
+    """One cycle or one letter more does not mean one stack frame more."""
+
+    def test_thousand_fixed_points(self):
+        assert run(["character", "1000", "--cycles", "1:1000"]) == (0, "1")
+
+    def test_eleven_hundred_letters(self):
+        assert run(["hall-littlewood", "", "--vars", "1100"]) == (0, "1")
+
+    def test_thousand_fixed_points_in_a_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "schurkit.cli", "character", "1000", "--cycles", "1:1000"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "1\n"
+        assert proc.stderr == ""
+
+
 class TestMainAndProcess:
     def test_main_appends_newline(self, capsys):
         assert main(["draw", "2,1"]) == 0

@@ -294,3 +294,24 @@ class TestTermLists:
     def test_rejects_unknown_variable_name(self):
         with pytest.raises(ValueError):
             from_term_list([{"coeff": "1", "monomial": {"y1": 1}}])
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [{"monomial": {"x1": 1}}],
+            [{"coeff": "1", "monomial": [["x1", 1]]}],
+            [{"coeff": "1", "monomial": {"x1": [1]}}],
+            {"coeff": "1", "monomial": {}},
+            [["1", {"x1": 1}]],
+            [{"coeff": "1/0", "monomial": {}}],
+            [{"coeff": 1.5, "monomial": {}}],
+            [{"coeff": 2, "monomial": {}}],
+            [{"coeff": "1", "monomial": {1: 1}}],
+        ],
+        ids=["missing-coeff", "list-monomial", "list-exponent", "non-list-data",
+             "non-dict-entry", "zero-denominator", "float-coeff", "int-coeff",
+             "non-string-name"],
+    )
+    def test_rejects_malformed_wire_data(self, data):
+        with pytest.raises(ValueError):
+            from_term_list(data)
