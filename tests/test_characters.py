@@ -92,7 +92,6 @@ class TestKnownTables:
         with pytest.raises(ValueError):
             character(YoungDiagram((2, 1)), ConjugacyClass({2: 1}))
 
-
     def test_matches_frozen_golden(self):
         """Digests of the full tables for n <= 14, frozen from the recursive
         border-strip build."""
