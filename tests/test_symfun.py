@@ -75,6 +75,14 @@ def miwa_golden_cases():
     for n in range(3, 7):
         for lam in shapes_up_to(6):
             yield f"monomial|{n}|{parts_key(lam)}", lambda lam=lam, n=n: monomial(lam, AlphabetContext(n))
+    # Frozen later, before schur moved onto integer coefficients.
+    for n in range(9, 13):
+        for lam in partitions_of(n):
+            yield f"schur|{parts_key(lam)}", lambda lam=lam: schur(lam)
+    for n in (7, 8):
+        for lam in partitions_of(n):
+            for mu in shapes_up_to(n):
+                yield f"skew|{parts_key(lam)}/{parts_key(mu)}", lambda lam=lam, mu=mu: schur(lam, mu)
 
 
 def unit(n, i):
