@@ -22,6 +22,7 @@ from .verify import MAX_BOXES_LIMIT, SCOPES, run_scope
 
 BENCH_MAX_PARTITIONS = 80
 BENCH_MAX_ALPHABET = 8
+BENCH_MAX_STAIRCASE = 8
 
 
 class UsageError(Exception):
@@ -102,8 +103,9 @@ def build_parser() -> _Parser:
     p.add_argument("--max-boxes", type=int, default=4, dest="max_boxes",
                    help=f"box bound for the sweeps, at most {MAX_BOXES_LIMIT} (default 4)")
 
-    p = sub.add_parser("bench", help="time partition enumeration or a Hall-Littlewood build")
-    p.add_argument("target", choices=("partitions", "hall-littlewood"))
+    p = sub.add_parser("bench", help="time partition enumeration, a Hall-Littlewood build "
+                       "or a staircase Schur polynomial")
+    p.add_argument("target", choices=("partitions", "hall-littlewood", "schur"))
     p.add_argument("size", type=int)
     p.add_argument("--csv", action="store_true")
     return parser
@@ -222,11 +224,18 @@ def _bench(args) -> tuple[int, str]:
         elapsed = time.perf_counter() - start
         label = "partitions"
     else:
-        if not 1 <= args.size <= BENCH_MAX_ALPHABET:
-            raise ValueError(f"hall-littlewood bench alphabet must be in 1..{BENCH_MAX_ALPHABET}")
-        lam = YoungDiagram((3, 2, 1)) if args.size >= 3 else YoungDiagram((1,) * args.size)
-        start = time.perf_counter()
-        poly = hall_littlewood(lam, AlphabetContext(args.size))
+        if args.target == "hall-littlewood":
+            if not 1 <= args.size <= BENCH_MAX_ALPHABET:
+                raise ValueError(f"hall-littlewood bench alphabet must be in 1..{BENCH_MAX_ALPHABET}")
+            lam = YoungDiagram((3, 2, 1)) if args.size >= 3 else YoungDiagram((1,) * args.size)
+            start = time.perf_counter()
+            poly = hall_littlewood(lam, AlphabetContext(args.size))
+        else:
+            if not 1 <= args.size <= BENCH_MAX_STAIRCASE:
+                raise ValueError(f"schur bench staircase must be in 1..{BENCH_MAX_STAIRCASE}")
+            lam = YoungDiagram(range(args.size, 0, -1))
+            start = time.perf_counter()
+            poly = schur(lam)
         elapsed = time.perf_counter() - start
         items = len(poly.terms)
         label = "output terms"

@@ -419,16 +419,16 @@ def determinant(rows: list[list[Polynomial]]) -> Polynomial:
         if cols in cache:
             return cache[cols]
         i = n - len(cols)
-        acc = Polynomial.zero()
+        acc: dict[Monomial, Fraction] = {}
         for pos, j in enumerate(cols):
             entry = rows[i][j]
             if not entry:
                 continue
-            sub = minor(cols[:pos] + cols[pos + 1:])
-            piece = entry * sub
-            acc = acc + piece if pos % 2 == 0 else acc - piece
-        cache[cols] = acc
-        return acc
+            piece = entry * minor(cols[:pos] + cols[pos + 1:])
+            for mono, c in piece._terms.items():
+                acc[mono] = acc.get(mono, 0) + (-c if pos % 2 else c)
+        cache[cols] = out = Polynomial._raw({mono: c for mono, c in acc.items() if c})
+        return out
 
     return minor(tuple(range(n)))
 

@@ -2,9 +2,11 @@
 
 Complete homogeneous and elementary polynomials live in the power-sum
 coordinates t; (skew-)Schur polynomials come from the determinant identity
-det(h_{lam_i - mu_j - i + j}); monomial and Hall-Littlewood polynomials live
-in a finite alphabet x1..xN, the latter carrying the deformation parameter Q
-and built letter by letter with Macdonald's horizontal-strip branching rule.
+det(h_{lam_i - mu_j - i + j}), expanded on integers (d! times the coefficients
+of a minor of weight d, over bit-packed exponents that never carry);
+monomial and Hall-Littlewood polynomials live in a finite alphabet x1..xN,
+the latter carrying the deformation parameter Q and built letter by letter
+with Macdonald's horizontal-strip branching rule.
 ``miwa_push`` moves a t-polynomial into the alphabet via
 t_j -> (1/j) * (x1^j + ... + xN^j).
 """
@@ -15,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .characters import character
 from .partitions import ConjugacyClass, YoungDiagram, partitions_of
-from .polyalgebra import Polynomial, Variable, determinant, q_var, t_var, x_var
+from .polyalgebra import Polynomial, Variable, q_var, t_var, x_var
 
 __all__ = [
     "MiwaContext",
@@ -97,28 +99,77 @@ def elementary(n: int) -> Polynomial:
     return _miwa_sum(n, lambda mu: (-1) ** (n - len(mu.cycles())))
 
 
-def _h_or_zero(k: int) -> Polynomial:
-    return Polynomial.zero() if k < 0 else homogeneous(k)
-
-
 def schur(lam: YoungDiagram, mu: YoungDiagram | None = None) -> Polynomial:
     """(Skew-)Schur polynomial in the t-coordinates via the h-determinant.
 
-    The matrix is square of side max(rows(lam), rows(mu)), both partitions
-    zero-padded, so the determinant vanishes whenever mu is not contained in
-    lam.  With mu omitted this is the straight Schur polynomial.
+    The matrix (h_{lam_i - mu_j - i + j}) is square of side
+    max(rows(lam), rows(mu)), both partitions zero-padded, so its determinant
+    vanishes whenever mu is not contained in lam.  With mu omitted this is the
+    straight Schur polynomial.
+
+    The Laplace expansion along the top row, cached per column set, runs on
+    integers: a minor of Miwa weight d is {packed exponents: d! * coeff}, the
+    packed int holding t_j's exponent in its j-th fixed-width bit slot.  As
+    k! * h_k has integer coefficients, an entry of weight k times a minor of
+    weight d - k scales by binomial(d, k), and monomials multiply by adding
+    keys.  The one division, by d!, happens in the final Polynomial.
     """
     inner = mu if mu is not None else YoungDiagram()
     m = max(lam.rows, inner.rows)
-    if m == 0:
-        return Polynomial.one()
+    if m <= 1:  # the cached h_k itself, h_0 = 1 for two empty shapes
+        k = lam.boxes - inner.boxes
+        return homogeneous(k) if k >= 0 else Polynomial.zero()
     lp = lam.parts + (0,) * (m - lam.rows)
     mp = inner.parts + (0,) * (m - inner.rows)
-    rows = [
-        [_h_or_zero(lp[i] - mp[j] - (i + 1) + (j + 1)) for j in range(m)]
-        for i in range(m)
-    ]
-    return determinant(rows)
+    # Entry (i, j) is h_{a[i] - b[j]}, zero when the index is negative.
+    a = [lp[i] - i for i in range(m)]
+    b = [mp[j] - j for j in range(m)]
+    top = a[0] - b[-1]  # the largest entry weight: a falls with i, b with j
+    # Each exponent in a minor sums at most m entry exponents, each at most
+    # top, and keys are only ever added, so a slot of this width never carries.
+    width = (m * top).bit_length()
+    h = {}
+    for k in {x - y for x in a for y in b if x >= y}:
+        fk = factorial(k)  # h_k's coefficients are 1/prod_j k_j!
+        h[k] = {sum(e << (v.index - 1) * width for v, e in mono): fk // c.denominator
+                for mono, c in homogeneous(k).terms.items()}
+
+    cache: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+
+    def minor(cols: tuple[int, ...]) -> dict[int, int]:
+        if cols in cache:
+            return cache[cols]
+        i = m - len(cols)
+        d = sum(a[i:]) - sum(b[j] for j in cols)
+        acc: dict[int, int] = {}
+        for pos, j in enumerate(cols):
+            k = a[i] - b[j]
+            sub = minor(cols[:pos] + cols[pos + 1:]) if k >= 0 else {}
+            if not sub:  # a zero term; otherwise d >= k >= 0
+                continue
+            scale = -comb(d, k) if pos % 2 else comb(d, k)
+            for ka, ca in h[k].items():
+                ca *= scale
+                for kb, cb in sub.items():
+                    key = ka + kb
+                    acc[key] = acc.get(key, 0) + ca * cb
+        cache[cols] = acc = {key: c for key, c in acc.items() if c}
+        return acc
+
+    scaled = minor(tuple(range(m)))
+    if not scaled:
+        return Polynomial.zero()
+    den, mask = factorial(lam.boxes - inner.boxes), (1 << width) - 1
+    ts = [t_var(j) for j in range(1, top + 1)]
+    terms = {}
+    for key, c in scaled.items():
+        mono = []
+        for v in ts:
+            if key & mask:
+                mono.append((v, key & mask))
+            key >>= width
+        terms[tuple(mono)] = Fraction(c, den)
+    return Polynomial(terms)
 
 
 def schur_via_characters(lam: YoungDiagram) -> Polynomial:

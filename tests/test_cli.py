@@ -175,11 +175,26 @@ class TestBenchCommand:
         assert status == 0
         assert text.splitlines()[1].startswith("hall-littlewood,3,9,")
 
+    def test_schur_staircase(self):
+        status, text = run(["bench", "schur", "7"])
+        assert status == 0
+        lines = text.splitlines()
+        assert lines[:3] == ["target: schur", "size: 7", "output terms: 159"]
+        assert lines[3].startswith("seconds: ")
+        status, text = run(["bench", "schur", "3", "--csv"])
+        assert status == 0
+        assert text.splitlines()[1].startswith("schur,3,4,")
+
     def test_size_bounds(self, capsys):
         assert run(["bench", "partitions", "81"])[0] == 2
         assert run(["bench", "hall-littlewood", "9"])[0] == 2
         assert run(["bench", "hall-littlewood", "0"])[0] == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("size", ["0", "9", "-1"])
+    def test_schur_staircase_guard(self, size, capsys):
+        assert run(["bench", "schur", size]) == (2, "")
+        assert capsys.readouterr().err == "schurkit: schur bench staircase must be in 1..8\n"
 
 
 class TestErrorPaths:

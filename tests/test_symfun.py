@@ -14,6 +14,7 @@ from schurkit import (
     Polynomial,
     YoungDiagram,
     canonical_text,
+    determinant,
     elementary,
     hall_littlewood,
     homogeneous,
@@ -262,6 +263,38 @@ class TestSkewSchur:
         """Skewing one row by a shorter row leaves a single h."""
         got = schur(YoungDiagram((4,)), YoungDiagram((1,)))
         assert got == homogeneous(3)
+
+    def test_matches_rational_determinant(self):
+        """The integer kernel against the generic Fraction determinant of the
+        same Jacobi-Trudi matrix, for every pair of at most 7 boxes."""
+        for lam in shapes_up_to(7):
+            for mu in shapes_up_to(7):
+                m = max(lam.rows, mu.rows)
+                lp = lam.parts + (0,) * (m - lam.rows)
+                mp = mu.parts + (0,) * (m - mu.rows)
+                rows = [[homogeneous(lp[i] - mp[j] - i + j) if lp[i] - mp[j] - i + j >= 0
+                         else Polynomial.zero() for j in range(m)] for i in range(m)]
+                assert schur(lam, mu) == determinant(rows), (lam.parts, mu.parts)
+
+    def test_edge_shapes(self):
+        shape = YoungDiagram
+        assert schur(shape((24,))) is homogeneous(24)
+        assert schur(shape((1,) * 14)) == elementary(14)
+        assert schur(shape((2,) * 10)) == schur_via_characters(shape((2,) * 10))
+        assert schur(shape((3, 3)), shape((1, 1, 1, 1))) == Polynomial.zero()
+        for lam in (shape((5, 3, 3, 1)), shape((2,) * 10), shape((9, 9, 9))):
+            assert schur(lam, lam) == Polynomial.one()
+        # Only the third row is left, with a padded inner row of 0 beside two of 9.
+        assert schur(shape((9, 9, 9)), shape((9, 9))) == homogeneous(9)
+        # A row of 23 beside a lone box, with t1 reaching exponent 24.
+        assert schur(shape((24, 1)), shape((1,))) == homogeneous(23) * homogeneous(1)
+
+    def test_staircase_within_budget(self):
+        """Fails if schur goes back to rational arithmetic (about 1.5 s there)."""
+        start = time.perf_counter()
+        poly = schur(YoungDiagram((8, 7, 6, 5, 4, 3, 2, 1)))
+        assert time.perf_counter() - start < 0.5
+        assert len(poly.terms) == 474
 
 
 class TestSchurViaCharacters:
