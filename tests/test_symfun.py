@@ -84,6 +84,25 @@ def miwa_golden_cases():
         for lam in partitions_of(n):
             for mu in shapes_up_to(n):
                 yield f"skew|{parts_key(lam)}/{parts_key(mu)}", lambda lam=lam, mu=mu: schur(lam, mu)
+    # Frozen later, before miwa_push stopped calling substitute.
+    for n in range(3, 7):
+        for lam in shapes_up_to(7):
+            if n == 6 or lam.boxes > 5:
+                yield (f"miwa_push|{n}|{parts_key(lam)}",
+                       lambda lam=lam, n=n: miwa_push(schur(lam), AlphabetContext(n)))
+    for n in range(1, 5):
+        for name, build in MIWA_INPUTS.items():
+            yield f"miwa_push|{n}|{name}", lambda build=build, n=n: miwa_push(build(), AlphabetContext(n))
+
+
+# t-polynomials other than Schur ones for miwa_push: mixed degrees with a
+# constant term, a product, and t_j with j above the letter count.
+MIWA_INPUTS = {
+    "3+t1*t2**2/2-5*t3+2*t1**4/7": lambda: (
+        3 + T[1] * T[2] ** 2 * Fraction(1, 2) - T[3] * 5 + T[1] ** 4 * Fraction(2, 7)),
+    "h4*e2": lambda: homogeneous(4) * elementary(2),
+    "t5+t1*t4": lambda: T[5] + T[1] * T[4],
+}
 
 
 def unit(n, i):
@@ -428,11 +447,12 @@ class TestHallLittlewood:
             hall_littlewood(YoungDiagram((2, 1)), AlphabetContext(3), workers=0)
 
     def test_matches_frozen_golden(self):
-        """Byte digests frozen from the antisymmetrize-and-divide build."""
+        """Byte digests frozen from the antisymmetrize-and-divide build at
+        n = 3..6, and from the full-vector layer loop at n = 7, 8."""
         golden = json.loads(HL_GOLDEN.read_text())["cases"]
         cases = {
             f"{n}|{','.join(map(str, lam.parts))}"
-            for n in range(3, 7)
+            for n in range(3, 9)
             for lam in shapes_up_to(6)
             if lam.rows <= n
         }
