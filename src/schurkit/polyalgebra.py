@@ -131,7 +131,8 @@ class Polynomial:
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
         """Sum the terms; the only place raw monomials become canonical.  Pairs
         may come in any order and zero exponents drop out; a repeated variable,
-        a non-Variable key or a negative or non-int exponent raises ValueError."""
+        a non-Variable key, a negative or non-int exponent, or a coefficient
+        whose type is not exactly int or Fraction (a bool, say) raises ValueError."""
         clean: dict[Monomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
             for v, e in mono:
@@ -141,7 +142,9 @@ class Polynomial:
             if len(dict(mono)) != len(mono):
                 raise ValueError(f"a variable is repeated in the monomial {mono!r}")
             mono = tuple(sorted([ve for ve in mono if ve[1]]))
-            c = Fraction(coeff)
+            if type(coeff) not in (int, Fraction):
+                raise ValueError(f"coefficient {coeff!r} must be an int or a Fraction")
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if not c:
                 continue
             old = clean.get(mono)
@@ -165,7 +168,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c: Fraction | int) -> "Polynomial":
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def variable(cls, v: Variable) -> "Polynomial":
@@ -307,7 +310,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == Polynomial.constant(other)._terms
+            return self._terms == ({(): other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:

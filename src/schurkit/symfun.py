@@ -5,10 +5,10 @@ coordinates t; (skew-)Schur polynomials come from the determinant identity
 det(h_{lam_i - mu_j - i + j}), expanded on integers (d! times the coefficients
 of a minor of weight d, over bit-packed exponents that never carry);
 monomial and Hall-Littlewood polynomials live in a finite alphabet x1..xN,
-the latter carrying the deformation parameter Q and built letter by letter
-with Macdonald's horizontal-strip branching rule.
-``miwa_push`` moves a t-polynomial into the alphabet via
-t_j -> (1/j) * (x1^j + ... + xN^j).
+the latter carrying the deformation parameter Q, and ``miwa_push`` moves a
+t-polynomial there via t_j -> (1/j) * (x1^j + ... + xN^j).  All three are
+symmetric: their weakly decreasing exponent vectors are built letter by letter
+(``_peel``) and spread over their distinct permutations (``_orbits``).
 """
 
 from __future__ import annotations
@@ -37,31 +37,27 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MiwaContext:
+class _Context:
+    """count variables of one kind, made by the subclass's ``_var``."""
+
+    count: int
+
+    def __post_init__(self):
+        if type(self.count) is not int or self.count < 1:
+            raise ValueError("count must be positive")
+
+    def variables(self) -> tuple[Variable, ...]:
+        return tuple(self._var(i) for i in range(1, self.count + 1))
+
+
+class MiwaContext(_Context):
     """Provides the power-sum variables t1..t_count."""
-
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be positive")
-
-    def variables(self) -> tuple[Variable, ...]:
-        return tuple(t_var(i) for i in range(1, self.count + 1))
+    _var = staticmethod(t_var)
 
 
-@dataclass(frozen=True)
-class AlphabetContext:
+class AlphabetContext(_Context):
     """Provides the alphabet variables x1..x_count."""
-
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be positive")
-
-    def variables(self) -> tuple[Variable, ...]:
-        return tuple(x_var(i) for i in range(1, self.count + 1))
+    _var = staticmethod(x_var)
 
 
 def _miwa_sum(n: int, weight) -> Polynomial:
@@ -199,21 +195,49 @@ def _distinct_permutations(seq: tuple[int, ...]):
         current[k + 1:] = reversed(current[k + 1:])
 
 
+def _orbits(dominant: dict, xs: tuple[Variable, ...]) -> Polynomial:
+    """The symmetric polynomial in xs whose weakly decreasing terms are
+    ``dominant``, {(Q power, exponent vector): coeff}, one orbit per vector."""
+    terms = {}
+    for (q, alpha), c in dominant.items():
+        head = ((q_var(), q),) if q else ()
+        for perm in _distinct_permutations(alpha):
+            terms[head + tuple((xs[i], e) for i, e in enumerate(perm) if e)] = c
+    return Polynomial(terms)
+
+
 def monomial(lam: YoungDiagram, alphabet: AlphabetContext) -> Polynomial:
     """Monomial symmetric polynomial: all distinct permutations of the exponents."""
     n = alphabet.count
     if lam.rows > n:
         return Polynomial.zero()
-    padded = lam.parts + (0,) * (n - lam.rows)
-    terms = {}
-    for alpha in _distinct_permutations(padded):
-        mono = tuple((x_var(i + 1), e) for i, e in enumerate(alpha) if e)
-        terms[mono] = Fraction(1)
-    return Polynomial(terms)
+    return _orbits({(0, lam.parts + (0,) * (n - lam.rows)): 1}, alphabet.variables())
 
 
-# Integer polynomial in Q and x1..xk: {(Q power, exponent vector): coeff}.
-_QXTerms = dict[tuple[int, tuple[int, ...]], int]
+def _peel(layer: dict, n: int, step) -> dict:
+    """The weakly decreasing terms {(Q power, exponent vector): coeff} of a
+    symmetric polynomial in x1..xn, peeling one letter per step, xn first.
+
+    ``layer`` maps a state, what is left for the letters not yet peeled, to
+    {(Q power, exponents of the letters peeled so far): coeff}; ``step(state,
+    k)`` yields (next state, xk's power, {Q power: factor}), only () after x1.
+    A term grows only by a power at least the last one peeled, so only the
+    weakly decreasing vectors, all a symmetric polynomial needs, survive.
+    """
+    for k in range(n, 0, -1):
+        nxt: dict = {}
+        for state, above in layer.items():
+            for new, power, factor in step(state, k):
+                out = nxt.setdefault(new, {})
+                for (q, alpha), c in above.items():
+                    if alpha and power < alpha[0]:
+                        continue
+                    alpha = (power,) + alpha
+                    for dq, dc in factor.items():
+                        key = (q + dq, alpha)
+                        out[key] = out.get(key, 0) + c * dc
+        layer = nxt
+    return layer.get((), {})
 
 
 def _strip_factor(lam: tuple[int, ...], mu: tuple[int, ...]) -> dict[int, int]:
@@ -247,59 +271,40 @@ def hall_littlewood(lam: YoungDiagram, alphabet: AlphabetContext, workers: int =
         P_lam(x1..xn; Q) = sum_mu psi_{lam/mu}(Q) * xn^{|lam|-|mu|} * P_mu(x1..x_{n-1}; Q),
 
     summed over every mu with lam/mu a horizontal strip and at most n-1 rows.
-    One loop unrolls it top-down, from lam in N letters to P_() = 1 in none,
-    peeling one letter per step off every shape of a {shape: terms} layer.
-    Every coefficient is an integer polynomial in Q, so no division happens.
-    At Q=0 this degenerates to the Schur polynomial and at Q=1 to the
-    monomial one.  ``workers`` must be positive and is otherwise ignored: the
-    build runs in the calling thread.
+    ``_peel`` unrolls it from lam in N letters to P_() = 1 in none, the shape
+    being the state.  Every coefficient is an integer polynomial in Q, so no
+    division happens.  At Q=0 this degenerates to the Schur polynomial and at
+    Q=1 to the monomial one.  ``workers`` must be a positive int and is
+    otherwise ignored: the build runs in the calling thread.
     """
     n = alphabet.count
     if lam.rows > n:
         raise ValueError(f"partition has {lam.rows} rows but the alphabet only {n} variables")
-    if workers < 1:
+    if type(workers) is not int or workers < 1:
         raise ValueError("workers must be positive")
 
-    # layer[mu] holds the terms in x_{k+1}..xn of every path from lam down to
-    # mu, one letter at a time; after x1 only the empty shape is left.
-    layer: dict[tuple[int, ...], _QXTerms] = {lam.parts: {(0, ()): 1}}
-    for k in range(n, 0, -1):
-        nxt: dict[tuple[int, ...], _QXTerms] = {}
-        for mu, above in layer.items():
-            size = sum(mu)
-            bounds = zip(mu[1:] + (0,), mu)
-            for nu in product(*(range(low, high + 1) for low, high in bounds)):
-                nu = nu[:-1] if nu and not nu[-1] else nu
-                if len(nu) >= k:
-                    continue
-                power = size - sum(nu)
-                psi = _strip_factor(mu, nu)
-                out = nxt.setdefault(nu, {})
-                for (q, alpha), c in above.items():
-                    alpha = (power,) + alpha
-                    for dq, dc in psi.items():
-                        key = (q + dq, alpha)
-                        out[key] = out.get(key, 0) + c * dc
-        layer = nxt
-
-    xs = alphabet.variables()
-    terms = {}
-    for (q, alpha), c in layer[()].items():
-        mono = (((q_var(), q),) if q else ()) + tuple(
-            (xs[i], e) for i, e in enumerate(alpha) if e
-        )
-        terms[mono] = c
-    return Polynomial(terms)
+    def step(mu, k):  # each nu with mu/nu a horizontal strip and fewer than k rows
+        for nu in product(*(range(low, high + 1) for low, high in zip(mu[1:] + (0,), mu))):
+            nu = nu[:-1] if nu and not nu[-1] else nu
+            if len(nu) < k:
+                yield nu, sum(mu) - sum(nu), _strip_factor(mu, nu)
+    return _orbits(_peel({lam.parts: {(0, ()): 1}}, n, step), alphabet.variables())
 
 
 def miwa_push(p: Polynomial, alphabet: AlphabetContext) -> Polynomial:
-    """Rewrite a t-polynomial in the alphabet via the power sums."""
+    """Rewrite a t-polynomial in the alphabet via the power sums, letter by
+    letter with ``_peel``; ``Polynomial.substitute`` is the independent route."""
     bad = [v for v in p.variables() if v.kind != "t"]
     if bad:
         raise ValueError(f"polynomial must use only t-variables, found {bad[0].name}")
-    n = alphabet.count
-    bindings = {
-        v: Polynomial({((x_var(i), v.index),): Fraction(1, v.index) for i in range(1, n + 1)})
-        for v in p.variables()
-    }
-    return p.substitute(bindings)
+
+    def step(mono, k):
+        # By t_j = t_j(x1..x_{k-1}) + xk^j / j, xk takes b_j of t_j's e_j factors
+        # with weight prod_j binomial(e_j, b_j) / j^{b_j}; x1 takes all the rest.
+        for takes in product(*(range(0 if k > 1 else e, e + 1) for _, e in mono)):
+            rest = tuple((v, e - b) for (v, e), b in zip(mono, takes) if e > b)
+            power = sum(v.index * b for (v, _), b in zip(mono, takes))
+            yield rest, power, {0: Fraction(prod(comb(e, b) for (_, e), b in zip(mono, takes)),
+                                            prod(v.index ** b for (v, _), b in zip(mono, takes)))}
+    layer = {mono: {(0, ()): c} for mono, c in p.terms.items()}
+    return _orbits(_peel(layer, alphabet.count, step), alphabet.variables())

@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,20 @@ class TestMalformedMonomials:
     def test_rejects_non_int_exponent(self, exponent):
         with pytest.raises(ValueError):
             Polynomial({((x_var(1), exponent),): 1})
+
+    @pytest.mark.parametrize("coeff", [0.1, 2.0, Decimal("0.1"), "1/2", True, False])
+    def test_rejects_inexact_coefficient(self, coeff):
+        """Only ints and Fractions enter the exact core, through every door."""
+        with pytest.raises(ValueError):
+            Polynomial({((x_var(1), 1),): coeff})
+        with pytest.raises(ValueError):
+            Polynomial.constant(coeff)
+        with pytest.raises(ValueError):
+            Polynomial.term(coeff, {x_var(1): 1})
+
+    def test_bool_compares_as_number(self):
+        assert Polynomial.one() == True
+        assert Polynomial.zero() == False
 
     @pytest.mark.parametrize("name", ["x01", "", "t\u0663"])
     def test_term_list_rejects_non_canonical_name(self, name):

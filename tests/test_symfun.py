@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schurkit import (
     AlphabetContext,
@@ -53,6 +54,20 @@ def hl_bytes(poly):
     return canonical_text(poly), json.dumps(to_term_list(poly), separators=(",", ":"))
 
 
+def digests(poly):
+    """SHA-256 of hl_bytes, as the golden fixtures hold them."""
+    text, wire = hl_bytes(poly)
+    return {"json": hashlib.sha256(wire.encode()).hexdigest(),
+            "text": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def hl_golden_build(key):
+    """hall_littlewood of an HL_GOLDEN key "n|parts"."""
+    n, parts = key.split("|")
+    lam = YoungDiagram(tuple(int(p) for p in parts.split(",") if p))
+    return hall_littlewood(lam, AlphabetContext(int(n)))
+
+
 def parts_key(lam):
     return ",".join(map(str, lam.parts))
 
@@ -91,18 +106,42 @@ def miwa_golden_cases():
                 yield (f"miwa_push|{n}|{parts_key(lam)}",
                        lambda lam=lam, n=n: miwa_push(schur(lam), AlphabetContext(n)))
     for n in range(1, 5):
-        for name, build in MIWA_INPUTS.items():
-            yield f"miwa_push|{n}|{name}", lambda build=build, n=n: miwa_push(build(), AlphabetContext(n))
+        for name, p in MIWA_INPUTS.items():
+            yield f"miwa_push|{n}|{name}", lambda p=p, n=n: miwa_push(p, AlphabetContext(n))
 
 
 # t-polynomials other than Schur ones for miwa_push: mixed degrees with a
 # constant term, a product, and t_j with j above the letter count.
 MIWA_INPUTS = {
-    "3+t1*t2**2/2-5*t3+2*t1**4/7": lambda: (
+    "3+t1*t2**2/2-5*t3+2*t1**4/7": (
         3 + T[1] * T[2] ** 2 * Fraction(1, 2) - T[3] * 5 + T[1] ** 4 * Fraction(2, 7)),
-    "h4*e2": lambda: homogeneous(4) * elementary(2),
-    "t5+t1*t4": lambda: T[5] + T[1] * T[4],
+    "h4*e2": homogeneous(4) * elementary(2),
+    "t5+t1*t4": T[5] + T[1] * T[4],
 }
+
+
+def power_sum_bindings(n, max_j):
+    """t_j -> (1/j) * (x1^j + ... + xn^j) for j <= max_j: the substitute route."""
+    return {
+        t_var(j): Polynomial({((x_var(i), j),): Fraction(1, j) for i in range(1, n + 1)})
+        for j in range(1, max_j + 1)
+    }
+
+
+@st.composite
+def t_polynomials(draw):
+    """A letter count n in 1..5 and a rational t-polynomial of Miwa weight at
+    most 6 per term, sometimes plus a multiple of e_{n+1}, which cancels to 0
+    in n letters."""
+    n = draw(st.integers(1, 5))
+    p = Polynomial.zero()
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    for _ in range(draw(st.integers(0, 4))):
+        js = draw(st.sampled_from([lam.parts for lam in shapes_up_to(6)]))
+        p = p + Polynomial.term(draw(coeffs), {t_var(j): js.count(j) for j in set(js)})
+    if draw(st.booleans()):
+        p = p + elementary(n + 1) * draw(coeffs)
+    return n, p
 
 
 def unit(n, i):
@@ -446,6 +485,11 @@ class TestHallLittlewood:
         with pytest.raises(ValueError):
             hall_littlewood(YoungDiagram((2, 1)), AlphabetContext(3), workers=0)
 
+    @pytest.mark.parametrize("workers", [1.5, True, "2"])
+    def test_rejects_non_int_workers(self, workers):
+        with pytest.raises(ValueError, match="^workers must be positive$"):
+            hall_littlewood(YoungDiagram((2, 1)), AlphabetContext(3), workers=workers)
+
     def test_matches_frozen_golden(self):
         """Byte digests frozen from the antisymmetrize-and-divide build at
         n = 3..6, and from the full-vector layer loop at n = 7, 8."""
@@ -458,11 +502,7 @@ class TestHallLittlewood:
         }
         assert set(golden) == cases
         for key, want in golden.items():
-            n, parts = key.split("|")
-            lam = YoungDiagram(tuple(int(p) for p in parts.split(",") if p))
-            text, wire = hl_bytes(hall_littlewood(lam, AlphabetContext(int(n))))
-            assert hashlib.sha256(text.encode()).hexdigest() == want["text"], key
-            assert hashlib.sha256(wire.encode()).hexdigest() == want["json"], key
+            assert digests(hl_golden_build(key)) == want, key
 
     def test_generic_q_numerator_oracle(self):
         """P_lam * Vandermonde * prod_m [m]_Q! is the antisymmetrized numerator."""
@@ -537,6 +577,21 @@ class TestMiwaPush:
         with pytest.raises(ValueError):
             miwa_push(Q, AlphabetContext(2))
 
+    @settings(max_examples=150, deadline=None)
+    @given(t_polynomials())
+    def test_matches_substitute_oracle(self, case):
+        n, p = case
+        assert miwa_push(p, AlphabetContext(n)) == p.substitute(power_sum_bindings(n, 7))
+
+    def test_staircase_within_budget(self):
+        """Fails if the push goes back to expanding products of power sums,
+        which took about 2.7 s on a 2-core VM with CPython 3.11."""
+        p = schur(YoungDiagram((5, 4, 3, 2, 1)))
+        start = time.perf_counter()
+        got = miwa_push(p, AlphabetContext(5))
+        assert time.perf_counter() - start < 1.0
+        assert got.terms[tuple((x_var(i), 6 - i) for i in range(1, 6))] == 1
+
 
 class TestContexts:
     def test_variable_lists(self):
@@ -549,6 +604,18 @@ class TestContexts:
         with pytest.raises(ValueError):
             AlphabetContext(-2)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, "3"])
+    def test_rejects_non_int_count(self, count):
+        for context in (MiwaContext, AlphabetContext):
+            with pytest.raises(ValueError, match="^count must be positive$"):
+                context(count)
+
+    def test_kinds_stay_apart(self):
+        assert MiwaContext(3) == MiwaContext(3)
+        assert MiwaContext(3) != AlphabetContext(3)
+        assert repr(MiwaContext(3)) == "MiwaContext(count=3)"
+        assert repr(AlphabetContext(2)) == "AlphabetContext(count=2)"
+
 
 class TestMiwaGolden:
     def test_matches_frozen_golden(self):
@@ -558,6 +625,21 @@ class TestMiwaGolden:
         cases = dict(miwa_golden_cases())
         assert set(golden) == set(cases)
         for key, build in cases.items():
-            text, wire = hl_bytes(build())
-            assert hashlib.sha256(text.encode()).hexdigest() == golden[key]["text"], key
-            assert hashlib.sha256(wire.encode()).hexdigest() == golden[key]["json"], key
+            assert digests(build()) == golden[key], key
+
+    def test_alphabet_outputs_skip_generic_arithmetic(self, monkeypatch):
+        """monomial, hall_littlewood and miwa_push reach their golden bytes
+        without substitute, products or powers of Polynomials."""
+        miwa = json.loads(MIWA_GOLDEN.read_text())["cases"]
+        hl = json.loads(HL_GOLDEN.read_text())["cases"]
+
+        def refuse(*args):
+            raise AssertionError("generic polynomial arithmetic was called")
+
+        for name in ("substitute", "__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(Polynomial, name, refuse)
+        for key, build in miwa_golden_cases():
+            if key.startswith(("monomial|", "miwa_push|")):
+                assert digests(build()) == miwa[key], key
+        for key, want in hl.items():
+            assert digests(hl_golden_build(key)) == want, key
