@@ -68,6 +68,10 @@ def hl_golden_build(key):
     return hall_littlewood(lam, AlphabetContext(int(n)))
 
 
+# Large outputs frozen beside the |lam| <= 6 grid: 55 408 and 10 077 terms.
+HL_LARGE = ("8|4,3,2,1", "8|3,3,1,1")
+
+
 def parts_key(lam):
     return ",".join(map(str, lam.parts))
 
@@ -108,6 +112,13 @@ def miwa_golden_cases():
     for n in range(1, 5):
         for name, p in MIWA_INPUTS.items():
             yield f"miwa_push|{n}|{name}", lambda p=p, n=n: miwa_push(p, AlphabetContext(n))
+    # Frozen later, before kernel output skipped re-validation.
+    for n in range(21, 31):
+        yield f"homogeneous|{n}", lambda n=n: homogeneous(n)
+        yield f"elementary|{n}", lambda n=n: elementary(n)
+    for n in range(9, 13):
+        for lam in partitions_of(n):
+            yield f"schur_via_characters|{parts_key(lam)}", lambda lam=lam: schur_via_characters(lam)
 
 
 # t-polynomials other than Schur ones for miwa_push: mixed degrees with a
@@ -492,14 +503,15 @@ class TestHallLittlewood:
 
     def test_matches_frozen_golden(self):
         """Byte digests frozen from the antisymmetrize-and-divide build at
-        n = 3..6, and from the full-vector layer loop at n = 7, 8."""
+        n = 3..6, from the full-vector layer loop at n = 7, 8, and from the
+        validating constructor for the two large shapes in 8 letters."""
         golden = json.loads(HL_GOLDEN.read_text())["cases"]
         cases = {
             f"{n}|{','.join(map(str, lam.parts))}"
             for n in range(3, 9)
             for lam in shapes_up_to(6)
             if lam.rows <= n
-        }
+        } | set(HL_LARGE)
         assert set(golden) == cases
         for key, want in golden.items():
             assert digests(hl_golden_build(key)) == want, key
