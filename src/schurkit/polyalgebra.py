@@ -6,6 +6,12 @@ are (kind, index) tuples ordered Q < t1 < t2 < ... < x1 < x2 < ...; a monomial
 is a tuple of (variable, exponent) pairs in that order and a polynomial a map
 from monomials to nonzero Fractions.  All arithmetic is exact; there is no
 floating point here.
+
+Only the two public doors validate: ``Polynomial(...)``, which normalizes
+terms given in any order, and ``from_term_list``, which accepts only the
+canonical wire form.  Arithmetic here and the kernels in ``symfun`` emit
+canonical terms (ascending variables, positive int exponents, nonzero
+Fraction coefficients) and build through the private ``Polynomial._raw``.
 """
 
 from __future__ import annotations
@@ -272,6 +278,9 @@ class Polynomial:
 
     @classmethod
     def _raw(cls, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap terms that are already canonical, unchecked: each monomial's
+        variables strictly ascending with int exponents >= 1, and each
+        coefficient a nonzero Fraction."""
         self = object.__new__(cls)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_hash", None)
@@ -323,8 +332,21 @@ class Polynomial:
     # -- rendering --------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in canonical order (descending lexicographic)."""
-        return sorted(self._terms.items(), key=lambda mc: _mono_key(mc[0]))
+        """Terms in canonical order (descending lexicographic), the order of
+        ``_mono_key``.
+
+        Each monomial packs into one int: over this polynomial's variables in
+        ascending order, the first in the highest slot, each exponent in a
+        slot wide enough for the largest one.  Descending ints are then
+        descending exponent vectors, an absent variable counting as 0.
+        """
+        terms = self._terms
+        factors = {ve for mono in terms for ve in mono}
+        width = max((e for _, e in factors), default=0).bit_length()
+        last_first = sorted({v for v, _ in factors}, reverse=True)
+        shift = {v: i * width for i, v in enumerate(last_first)}
+        packed = {(v, e): e << shift[v] for v, e in factors}.__getitem__
+        return sorted(terms.items(), key=lambda mc: sum(map(packed, mc[0])), reverse=True)
 
     def __str__(self) -> str:
         return canonical_text(self)
@@ -333,12 +355,13 @@ class Polynomial:
         return f"Polynomial<{canonical_text(self)}>"
 
 
-def _term_body(mono: Monomial, coeff: Fraction) -> str:
+def _term_body(mono: Monomial, coeff: Fraction, names: Mapping[Variable, str]) -> str:
+    """The term without its sign; ``names`` maps each variable to its name."""
     num = abs(coeff.numerator)
     den = coeff.denominator
     if not mono:
         return str(num) if den == 1 else f"{num}/{den}"
-    body = "*".join(v.name if e == 1 else f"{v.name}**{e}" for v, e in mono)
+    body = "*".join([names[v] if e == 1 else f"{names[v]}**{e}" for v, e in mono])
     if num != 1:
         body = f"{num}*{body}"
     if den != 1:
@@ -355,14 +378,13 @@ def canonical_text(p: Polynomial) -> str:
     items = p.sorted_terms()
     if not items:
         return "0"
+    names = {v: v.name for v in p.variables()}
     pieces: list[str] = []
-    for i, (mono, coeff) in enumerate(items):
-        body = _term_body(mono, coeff)
-        if i == 0:
-            pieces.append(f"-{body}" if coeff < 0 else body)
-        else:
-            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
-    return "".join(pieces)
+    for mono, coeff in items:
+        body = _term_body(mono, coeff, names)
+        pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
+    text = "".join(pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def exact_divide(num: Polynomial, den: Polynomial) -> Polynomial:
@@ -390,7 +412,8 @@ def exact_divide(num: Polynomial, den: Polynomial) -> Polynomial:
             continue
         q_mono = _mono_div(mono, lead_mono)
         if q_mono is None:
-            raise ExactDivisionError(f"leading term {_term_body(mono, coeff)} is not divisible")
+            body = _term_body(mono, coeff, {v: v.name for v, _ in mono})
+            raise ExactDivisionError(f"leading term {body} is not divisible")
         q_coeff = coeff / lead_coeff
         quotient[q_mono] = quotient.get(q_mono, Fraction(0)) + q_coeff
         for t_mono, t_coeff in tail:
@@ -441,13 +464,9 @@ def determinant(rows: list[list[Polynomial]]) -> Polynomial:
 
 def to_term_list(p: Polynomial) -> list[dict]:
     """Encode as a list of {"coeff": "p/q", "monomial": {...}} in canonical order."""
-    out = []
-    for mono, coeff in p.sorted_terms():
-        out.append({
-            "coeff": str(coeff),
-            "monomial": {v.name: e for v, e in mono},
-        })
-    return out
+    names = {v: v.name for v in p.variables()}
+    return [{"coeff": str(coeff), "monomial": {names[v]: e for v, e in mono}}
+            for mono, coeff in p.sorted_terms()]
 
 
 def _parse_variable(name: str) -> Variable:
@@ -460,24 +479,51 @@ def _parse_variable(name: str) -> Variable:
     raise ValueError(f"unknown variable name {name!r}")
 
 
+def _parse_coeff(s: str) -> Fraction:
+    """The nonzero Fraction whose str is exactly s, as to_term_list writes it."""
+    num, slash, den = s.partition("/")
+    try:
+        n, d = int(num), int(den) if slash else 1
+    except ValueError:
+        n = d = 0
+    if n and str(n) == num and (not slash or d > 1 and str(d) == den):
+        c = Fraction(n, d)
+        if c.denominator == d:  # in lowest terms
+            return c
+    raise ValueError(f"coefficient {s!r} is not a canonical nonzero fraction")
+
+
 def from_term_list(data: list[dict]) -> Polynomial:
     """Decode the wire form produced by :func:`to_term_list`, a list of
-    ``{"coeff": "p/q", "monomial": {name: exponent}}``.  Anything else (a
-    missing key, a non-string coefficient, a zero denominator, a non-canonical
-    name such as ``x01``, a non-int exponent) raises ValueError."""
+    ``{"coeff": "p/q", "monomial": {name: exponent}}``.  A coefficient must be
+    the str of a nonzero Fraction (``"-3/2"``, not ``"3/-2"``, ``"6/4"``,
+    ``"1.5"``, ``"+3"`` or ``"0"``) and an exponent an int >= 1.  Anything
+    else (a missing key, a non-string coefficient, a non-canonical name such
+    as ``x01``) raises ValueError.  Terms with the same monomial are summed."""
     if not isinstance(data, list):
         raise ValueError(f"a term list must be a list, got {type(data).__name__}")
+    variables: dict[str, Variable] = {}
     terms: dict[Monomial, Fraction] = {}
     for entry in data:
         if not (isinstance(entry, dict) and type(entry.get("coeff")) is str
-                and isinstance(entry.get("monomial"), dict)
-                and all(type(e) is int for e in entry["monomial"].values())):
-            raise ValueError(f"malformed term {entry!r}: needs a string coeff "
-                             "and a monomial of int exponents")
-        try:
-            coeff = Fraction(entry["coeff"])
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"coefficient {entry['coeff']!r} is not a fraction") from None
-        mono = tuple((_parse_variable(name), e) for name, e in entry["monomial"].items())
-        terms[mono] = terms.get(mono, 0) + coeff
-    return Polynomial(terms)
+                and isinstance(entry.get("monomial"), dict)):
+            raise ValueError(f"malformed term {entry!r}: needs a string coeff and a monomial")
+        coeff = _parse_coeff(entry["coeff"])
+        factors = []
+        for name, e in entry["monomial"].items():
+            if type(e) is not int or e < 1:
+                raise ValueError(f"exponent {e!r} of {name!r} is not an int >= 1")
+            v = variables.get(name)
+            if v is None:
+                v = variables[name] = _parse_variable(name)
+            factors.append((v, e))
+        # Distinct canonical names are distinct variables, so sorting is all
+        # that is left to make the monomial canonical.
+        mono = tuple(sorted(factors))
+        old = terms.get(mono)
+        s = coeff if old is None else old + coeff
+        if s:
+            terms[mono] = s
+        else:
+            del terms[mono]
+    return Polynomial._raw(terms)

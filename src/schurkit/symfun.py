@@ -8,7 +8,9 @@ monomial and Hall-Littlewood polynomials live in a finite alphabet x1..xN,
 the latter carrying the deformation parameter Q, and ``miwa_push`` moves a
 t-polynomial there via t_j -> (1/j) * (x1^j + ... + xN^j).  All three are
 symmetric: their weakly decreasing exponent vectors are built letter by letter
-(``_peel``) and spread over their distinct permutations (``_orbits``).
+(``_peel``) and spread over their distinct permutations (``_orbits``).  Each
+kernel emits canonical terms and builds its result with ``Polynomial._raw``;
+it does not pass through the validating ``Polynomial(...)``.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, groupby, product
 from math import comb, factorial, prod
 
-from .characters import character
-from .partitions import ConjugacyClass, YoungDiagram, partitions_of
+from .characters import _character
+from .partitions import YoungDiagram, _ascending_compositions
 from .polyalgebra import Polynomial, Variable, q_var, t_var, x_var
 
 __all__ = [
@@ -62,16 +64,23 @@ class AlphabetContext(_Context):
 
 def _miwa_sum(n: int, weight) -> Polynomial:
     """sum_mu weight(mu) * prod_j t_j^{k_j} / k_j! over the cycle types mu of n,
-    k_j the number of j-cycles: the Miwa form of sum_mu weight(mu) p_mu / z_mu."""
+    k_j the number of j-cycles: the Miwa form of sum_mu weight(mu) p_mu / z_mu.
+    ``weight`` gets mu's cycles, largest first, and returns an int."""
+    ts = [None] + [t_var(j) for j in range(1, n + 1)]  # ts[j] is t_j
+    facts = [1]
+    for k in range(1, n + 1):
+        facts.append(facts[-1] * k)
     terms = {}
-    for shape in partitions_of(n):
-        mu = shape.conjugacy_class()
-        w = weight(mu)
+    for parts in _ascending_compositions(n):  # ascending, so t_j ascends too
+        w = weight(tuple(reversed(parts)))
         if w:
-            mult = mu.multiplicities
-            mono = tuple((t_var(j), k) for j, k in mult.items())
-            terms[mono] = Fraction(w, prod(map(factorial, mult.values())))
-    return Polynomial(terms)
+            mono, den = [], 1
+            for j, run in groupby(parts):
+                k = len(list(run))
+                mono.append((ts[j], k))
+                den *= facts[k]
+            terms[tuple(mono)] = Fraction(w, den)
+    return Polynomial._raw(terms)
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +92,7 @@ def homogeneous(n: int) -> Polynomial:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _miwa_sum(n, lambda mu: 1)
+    return _miwa_sum(n, lambda cycles: 1)
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +101,7 @@ def elementary(n: int) -> Polynomial:
     in the t-coordinates, over the same mu as h_n (Macdonald I (2.14'))."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _miwa_sum(n, lambda mu: (-1) ** (n - len(mu.cycles())))
+    return _miwa_sum(n, lambda cycles: (-1) ** (n - len(cycles)))
 
 
 def schur(lam: YoungDiagram, mu: YoungDiagram | None = None) -> Polynomial:
@@ -165,16 +174,17 @@ def schur(lam: YoungDiagram, mu: YoungDiagram | None = None) -> Polynomial:
                 mono.append((v, key & mask))
             key >>= width
         terms[tuple(mono)] = Fraction(c, den)
-    return Polynomial(terms)
+    return Polynomial._raw(terms)
 
 
 def schur_via_characters(lam: YoungDiagram) -> Polynomial:
     """Schur polynomial as the character-weighted sum over cycle types.
 
     Independent route: sum over all mu of the same weight of
-    chi^lam(mu) * prod_j t_j^{k_j} / k_j!.
+    chi^lam(mu) * prod_j t_j^{k_j} / k_j!.  The weights match by
+    construction, so the characters come straight from ``_character``.
     """
-    return _miwa_sum(lam.boxes, lambda mu: character(lam, mu))
+    return _miwa_sum(lam.boxes, lambda cycles: _character(lam.parts, cycles))
 
 
 def _distinct_permutations(seq: tuple[int, ...]):
@@ -197,13 +207,18 @@ def _distinct_permutations(seq: tuple[int, ...]):
 
 def _orbits(dominant: dict, xs: tuple[Variable, ...]) -> Polynomial:
     """The symmetric polynomial in xs whose weakly decreasing terms are
-    ``dominant``, {(Q power, exponent vector): coeff}, one orbit per vector."""
+    ``dominant``, {(Q power, exponent vector): int or Fraction coeff}, one
+    orbit per vector; zero coefficients drop out."""
     terms = {}
+    q_v = q_var()
     for (q, alpha), c in dominant.items():
-        head = ((q_var(), q),) if q else ()
+        if not c:
+            continue
+        c = Fraction(c)
+        head = ((q_v, q),) if q else ()
         for perm in _distinct_permutations(alpha):
-            terms[head + tuple((xs[i], e) for i, e in enumerate(perm) if e)] = c
-    return Polynomial(terms)
+            terms[head + tuple(compress(zip(xs, perm), perm))] = c
+    return Polynomial._raw(terms)
 
 
 def monomial(lam: YoungDiagram, alphabet: AlphabetContext) -> Polynomial:

@@ -19,6 +19,7 @@ from schurkit import (
     to_term_list,
     x_var,
 )
+from schurkit.polyalgebra import _mono_key
 
 Q = Polynomial.variable(q_var())
 T1, T2 = (Polynomial.variable(t_var(i)) for i in (1, 2))
@@ -41,6 +42,25 @@ def polynomials(draw):
         mono = {v: picks.count(v) for v in set(picks)}
         poly = poly + Polynomial.term(draw(coeffs), mono)
     return poly
+
+
+# Mixed Q/t/x variables, t2 against t10 and x3 against x12 included.
+SORT_VARS = (q_var(), t_var(1), t_var(2), t_var(10), x_var(1), x_var(3), x_var(12))
+# Exponents on both sides of the slot widths of 1 to 9 bits.
+SLOT_EXPONENTS = st.one_of(st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 255, 256]),
+                           st.integers(1, 600))
+
+
+@st.composite
+def mixed_polynomials(draw):
+    """Polynomials whose supports are often strict prefixes of one another."""
+    monos = []
+    for _ in range(draw(st.integers(0, 10))):
+        support = sorted(draw(st.lists(st.sampled_from(SORT_VARS), unique=True, max_size=5)))
+        mono = tuple((v, draw(SLOT_EXPONENTS)) for v in support)
+        monos.append(mono)
+        monos.extend(mono[:k] for k in range(draw(st.integers(0, len(mono)))))
+    return Polynomial({mono: draw(coeffs) for mono in monos})
 
 
 class TestRingAxioms:
@@ -148,6 +168,12 @@ class TestMalformedMonomials:
         with pytest.raises(ValueError):
             from_term_list([{"coeff": "1", "monomial": {"x1": 1.7}}])
 
+    @pytest.mark.parametrize("mono", [((x_var(1),),), ((x_var(1), 1, 2),), ("x1",)],
+                             ids=["bare-variable", "triple", "string"])
+    def test_rejects_misshapen_monomial(self, mono):
+        with pytest.raises(ValueError):
+            Polynomial({mono: 1})
+
     def test_unordered_monomial_is_normalized(self):
         p = Polynomial({((x_var(2), 1), (q_var(), 0), (t_var(1), 3)): 2})
         assert p == 2 * T1**3 * X2
@@ -166,6 +192,19 @@ class TestEquality:
 
 
 class TestCanonicalText:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_polynomials())
+    def test_fast_sort_is_mono_key_order(self, p):
+        assert p.sorted_terms() == sorted(p.terms.items(), key=lambda mc: _mono_key(mc[0]))
+
+    def test_fast_sort_edge_cases(self):
+        x1, x2, t2, t10 = (Polynomial.variable(v) for v in (x_var(1), x_var(2), t_var(2), t_var(10)))
+        # A strict prefix sorts after; one slot-width boundary (255 | 256) is crossed.
+        p = x1**255 * x2 + x1**255 + x1**256 + x1**255 * x2**256 + t2 * t10 + t10**2 + 1
+        assert p.sorted_terms() == sorted(p.terms.items(), key=lambda mc: _mono_key(mc[0]))
+        assert canonical_text(p) == ("t2*t10 + t10**2 + x1**256 + x1**255*x2**256"
+                                     " + x1**255*x2 + x1**255 + 1")
+
     def test_zero_and_constants(self):
         assert canonical_text(Polynomial.zero()) == "0"
         assert canonical_text(Polynomial.constant(Fraction(-3, 4))) == "-3/4"
@@ -275,6 +314,12 @@ class TestDeterminant:
         assert determinant(rows) == expected
 
 
+# Coefficient strings that are not str(Fraction(s)) of a nonzero s, so that
+# to_term_list never writes them.
+NON_CANONICAL_COEFFS = ["1.5", "3/6", "1e3", "1_000", " 2", "+3", "-0", "0", "3/1", "3/-2",
+                        "0/5", "2 ", "\u0663", "/2", "1/2/3"]
+
+
 class TestTermLists:
     def test_shape(self):
         p = T1**3 * Fraction(1, 6) + T1 * T2 + Polynomial.variable(t_var(3))
@@ -306,6 +351,14 @@ class TestTermLists:
         ]
         assert from_term_list(to_term_list(p)) == p
 
+    def test_sums_repeated_monomials(self):
+        wire = [{"coeff": c, "monomial": {"x1": 1, "Q": 2}} for c in ("-3/2", "7", "-1234567890123")]
+        mono = ((q_var(), 2), (x_var(1), 1))
+        assert from_term_list(wire[:1]).terms == {mono: Fraction(-3, 2)}
+        assert from_term_list(wire).terms == {mono: Fraction(-3, 2) + 7 - 1234567890123}
+        assert type(from_term_list(wire).terms[mono]) is Fraction
+        assert from_term_list(wire[:1] + [{"coeff": "3/2", "monomial": {"Q": 2, "x1": 1}}]) == 0
+
     def test_rejects_unknown_variable_name(self):
         with pytest.raises(ValueError):
             from_term_list([{"coeff": "1", "monomial": {"y1": 1}}])
@@ -322,10 +375,11 @@ class TestTermLists:
             [{"coeff": 1.5, "monomial": {}}],
             [{"coeff": 2, "monomial": {}}],
             [{"coeff": "1", "monomial": {1: 1}}],
-        ],
+            [{"coeff": "1", "monomial": {"t1": 0}}],
+        ] + [[{"coeff": c, "monomial": {"x1": 1}}] for c in NON_CANONICAL_COEFFS],
         ids=["missing-coeff", "list-monomial", "list-exponent", "non-list-data",
              "non-dict-entry", "zero-denominator", "float-coeff", "int-coeff",
-             "non-string-name"],
+             "non-string-name", "zero-exponent"] + [f"coeff {c!r}" for c in NON_CANONICAL_COEFFS],
     )
     def test_rejects_malformed_wire_data(self, data):
         with pytest.raises(ValueError):

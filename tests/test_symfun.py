@@ -13,6 +13,7 @@ from schurkit import (
     AlphabetContext,
     MiwaContext,
     Polynomial,
+    Variable,
     YoungDiagram,
     canonical_text,
     determinant,
@@ -629,6 +630,16 @@ class TestContexts:
         assert repr(AlphabetContext(2)) == "AlphabetContext(count=2)"
 
 
+def assert_canonical_terms(p):
+    """What kernels promise when they skip Polynomial(...)'s checks."""
+    terms = p.terms
+    for mono, coeff in terms.items():
+        assert type(coeff) is Fraction and coeff != 0, (mono, coeff)
+        assert all(type(v) is Variable and type(e) is int and e >= 1 for v, e in mono), mono
+        assert all(a < b for (a, _), (b, _) in zip(mono, mono[1:])), mono
+    assert Polynomial(terms) == p
+
+
 class TestMiwaGolden:
     def test_matches_frozen_golden(self):
         """Byte digests of h, e, (skew) Schur, miwa_push and monomial, frozen
@@ -638,6 +649,15 @@ class TestMiwaGolden:
         assert set(golden) == set(cases)
         for key, build in cases.items():
             assert digests(build()) == golden[key], key
+
+    def test_kernel_output_is_canonical(self):
+        """Every golden case of the kernels that build through Polynomial._raw
+        (schur, h, e, schur_via_characters, monomial, hall_littlewood and
+        miwa_push) already holds canonical terms."""
+        for _, build in miwa_golden_cases():
+            assert_canonical_terms(build())
+        for key in json.loads(HL_GOLDEN.read_text())["cases"]:
+            assert_canonical_terms(hl_golden_build(key))
 
     def test_alphabet_outputs_skip_generic_arithmetic(self, monkeypatch):
         """monomial, hall_littlewood and miwa_push reach their golden bytes
