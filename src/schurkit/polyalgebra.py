@@ -383,8 +383,9 @@ def canonical_text(p: Polynomial) -> str:
     for mono, coeff in items:
         body = _term_body(mono, coeff, names)
         pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
-    text = "".join(pieces)
-    return text[3:] if text[1] == "+" else "-" + text[3:]
+    first = pieces[0]  # the leading " + " or " - " becomes "" or "-"
+    pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(pieces)
 
 
 def exact_divide(num: Polynomial, den: Polynomial) -> Polynomial:
