@@ -135,7 +135,7 @@ class Polynomial:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
-        """Sum the terms; the only place raw monomials become canonical.  Pairs
+        """Sum the terms; the public door for raw monomials.  Pairs
         may come in any order and zero exponents drop out; a repeated variable,
         a non-Variable key, a negative or non-int exponent, or a coefficient
         whose type is not exactly int or Fraction (a bool, say) raises ValueError."""
@@ -382,7 +382,7 @@ def canonical_text(p: Polynomial) -> str:
     pieces: list[str] = []
     for mono, coeff in items:
         body = _term_body(mono, coeff, names)
-        pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
+        pieces.append(f" - {body}" if coeff.numerator < 0 else f" + {body}")
     first = pieces[0]  # the leading " + " or " - " becomes "" or "-"
     pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
     return "".join(pieces)
@@ -503,7 +503,9 @@ def from_term_list(data: list[dict]) -> Polynomial:
     as ``x01``) raises ValueError.  Terms with the same monomial are summed."""
     if not isinstance(data, list):
         raise ValueError(f"a term list must be a list, got {type(data).__name__}")
-    variables: dict[str, Variable] = {}
+    # (name, exponent) -> (Variable, exponent): each name is parsed once, and
+    # equal factors share one pair.
+    factor_of: dict[tuple[str, int], tuple[Variable, int]] = {}
     terms: dict[Monomial, Fraction] = {}
     for entry in data:
         if not (isinstance(entry, dict) and type(entry.get("coeff")) is str
@@ -511,13 +513,14 @@ def from_term_list(data: list[dict]) -> Polynomial:
             raise ValueError(f"malformed term {entry!r}: needs a string coeff and a monomial")
         coeff = _parse_coeff(entry["coeff"])
         factors = []
-        for name, e in entry["monomial"].items():
-            if type(e) is not int or e < 1:
+        for item in entry["monomial"].items():
+            name, e = item
+            if type(e) is not int or e < 1:  # before the lookup, where True == 1
                 raise ValueError(f"exponent {e!r} of {name!r} is not an int >= 1")
-            v = variables.get(name)
-            if v is None:
-                v = variables[name] = _parse_variable(name)
-            factors.append((v, e))
+            factor = factor_of.get(item)
+            if factor is None:
+                factor = factor_of[item] = (_parse_variable(name), e)
+            factors.append(factor)
         # Distinct canonical names are distinct variables, so sorting is all
         # that is left to make the monomial canonical.
         mono = tuple(sorted(factors))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, groupby, product
+from itertools import groupby, product
 from math import comb, factorial, prod
 
 from .characters import _character
@@ -66,7 +66,8 @@ def _miwa_sum(n: int, weight) -> Polynomial:
     """sum_mu weight(mu) * prod_j t_j^{k_j} / k_j! over the cycle types mu of n,
     k_j the number of j-cycles: the Miwa form of sum_mu weight(mu) p_mu / z_mu.
     ``weight`` gets mu's cycles, largest first, and returns an int."""
-    ts = [None] + [t_var(j) for j in range(1, n + 1)]  # ts[j] is t_j
+    # rows[j][k] is the pair (t_j, k), shared by every term with k j-cycles.
+    rows = [None] + [[(t_var(j), k) for k in range(n // j + 1)] for j in range(1, n + 1)]
     facts = [1]
     for k in range(1, n + 1):
         facts.append(facts[-1] * k)
@@ -77,7 +78,7 @@ def _miwa_sum(n: int, weight) -> Polynomial:
             mono, den = [], 1
             for j, run in groupby(parts):
                 k = len(list(run))
-                mono.append((ts[j], k))
+                mono.append(rows[j][k])
                 den *= facts[k]
             terms[tuple(mono)] = Fraction(w, den)
     return Polynomial._raw(terms)
@@ -164,14 +165,16 @@ def schur(lam: YoungDiagram, mu: YoungDiagram | None = None) -> Polynomial:
     scaled = minor(tuple(range(m)))
     if not scaled:
         return Polynomial.zero()
-    den, mask = factorial(lam.boxes - inner.boxes), (1 << width) - 1
-    ts = [t_var(j) for j in range(1, top + 1)]
+    d, mask = lam.boxes - inner.boxes, (1 << width) - 1
+    den = factorial(d)
+    # One shared (t_j, e) pair per exponent e <= d // j, not one per term.
+    rows = [[(t_var(j), e) for e in range(d // j + 1)] for j in range(1, top + 1)]
     terms = {}
     for key, c in scaled.items():
         mono = []
-        for v in ts:
+        for row in rows:
             if key & mask:
-                mono.append((v, key & mask))
+                mono.append(row[key & mask])
             key >>= width
         terms[tuple(mono)] = Fraction(c, den)
     return Polynomial._raw(terms)
@@ -209,6 +212,8 @@ def _orbits(dominant: dict, xs: tuple[Variable, ...]) -> Polynomial:
     """The symmetric polynomial in xs whose weakly decreasing terms are
     ``dominant``, {(Q power, exponent vector): int or Fraction coeff}, one
     orbit per vector; zero coefficients drop out."""
+    top = max((alpha[0] for _, alpha in dominant), default=0)  # alpha decreases
+    rows = [[(x, e) for e in range(top + 1)] for x in xs]  # one shared pair per (x, e)
     terms = {}
     q_v = q_var()
     for (q, alpha), c in dominant.items():
@@ -217,7 +222,7 @@ def _orbits(dominant: dict, xs: tuple[Variable, ...]) -> Polynomial:
         c = Fraction(c)
         head = ((q_v, q),) if q else ()
         for perm in _distinct_permutations(alpha):
-            terms[head + tuple(compress(zip(xs, perm), perm))] = c
+            terms[head + tuple([row[e] for row, e in zip(rows, perm) if e])] = c
     return Polynomial._raw(terms)
 
 

@@ -376,10 +376,11 @@ class TestTermLists:
             [{"coeff": 2, "monomial": {}}],
             [{"coeff": "1", "monomial": {1: 1}}],
             [{"coeff": "1", "monomial": {"t1": 0}}],
+            [{"coeff": "1", "monomial": {"t1": 1}}, {"coeff": "1", "monomial": {"t1": True}}],
         ] + [[{"coeff": c, "monomial": {"x1": 1}}] for c in NON_CANONICAL_COEFFS],
         ids=["missing-coeff", "list-monomial", "list-exponent", "non-list-data",
              "non-dict-entry", "zero-denominator", "float-coeff", "int-coeff",
-             "non-string-name", "zero-exponent"] + [f"coeff {c!r}" for c in NON_CANONICAL_COEFFS],
+             "non-string-name", "zero-exponent", "bool-exponent-after-int"] + [f"coeff {c!r}" for c in NON_CANONICAL_COEFFS],
     )
     def test_rejects_malformed_wire_data(self, data):
         with pytest.raises(ValueError):
