@@ -120,15 +120,28 @@ def miwa_golden_cases():
     for n in range(9, 13):
         for lam in partitions_of(n):
             yield f"schur_via_characters|{parts_key(lam)}", lambda lam=lam: schur_via_characters(lam)
+    # Frozen later, before miwa_push moved onto integer coefficients, with the
+    # last MIWA_INPUTS entry (its 1..4-letter cases come from the loop above).
+    for n in range(3, 6):
+        for lam in partitions_of(8):
+            yield (f"miwa_push|{n}|{parts_key(lam)}",
+                   lambda lam=lam, n=n: miwa_push(schur(lam), AlphabetContext(n)))
+    for n in range(5, 7):
+        for name, p in MIWA_INPUTS.items():
+            yield f"miwa_push|{n}|{name}", lambda p=p, n=n: miwa_push(p, AlphabetContext(n))
 
 
 # t-polynomials other than Schur ones for miwa_push: mixed degrees with a
-# constant term, a product, and t_j with j above the letter count.
+# constant term, a product, t_j with j above the letter count, and pairwise
+# coprime denominators beside a high index.
 MIWA_INPUTS = {
     "3+t1*t2**2/2-5*t3+2*t1**4/7": (
         3 + T[1] * T[2] ** 2 * Fraction(1, 2) - T[3] * 5 + T[1] ** 4 * Fraction(2, 7)),
     "h4*e2": homogeneous(4) * elementary(2),
     "t5+t1*t4": T[5] + T[1] * T[4],
+    "t7/3-5*t2*t3/6+t1**3/14+2*t4**2": (
+        T[7] * Fraction(1, 3) - T[2] * T[3] * Fraction(5, 6) + T[1] ** 3 * Fraction(1, 14)
+        + T[4] ** 2 * 2),
 }
 
 
