@@ -111,7 +111,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _polynomial_payload(family: str, lam, mu, n_vars, poly) -> str:
+def _emit_polynomial(args, family: str, lam, mu, n_vars, poly) -> str:
+    if not args.json:
+        return canonical_text(poly)
     return json.dumps(
         {
             "family": family,
@@ -122,12 +124,6 @@ def _polynomial_payload(family: str, lam, mu, n_vars, poly) -> str:
         },
         separators=(",", ":"),
     )
-
-
-def _emit_polynomial(args, family: str, lam, mu, n_vars, poly) -> str:
-    if getattr(args, "json", False):
-        return _polynomial_payload(family, lam, mu, n_vars, poly)
-    return canonical_text(poly)
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -160,15 +156,11 @@ def run(argv: list[str]) -> tuple[int, str]:
             return 0, parse_parts(args.parts).draw(args.symbol)
 
         if args.command == "list":
-            if args.n < 0:
-                raise ValueError("n must be nonnegative")
             return 0, "\n".join(
                 ",".join(str(p) for p in d.parts) for d in partitions_of(args.n)
             )
 
         if args.command in ("homogeneous", "elementary"):
-            if args.n < 0:
-                raise ValueError("n must be nonnegative")
             poly = homogeneous(args.n) if args.command == "homogeneous" else elementary(args.n)
             return 0, _emit_polynomial(args, args.command, (args.n,), None, None, poly)
 

@@ -8,9 +8,9 @@ monomial and Hall-Littlewood polynomials live in a finite alphabet x1..xN,
 the latter carrying the deformation parameter Q, and ``miwa_push`` moves a
 t-polynomial there via t_j -> (1/j) * (x1^j + ... + xN^j).  All three are
 symmetric: their weakly decreasing exponent vectors are built letter by letter
-(``_peel``) and spread over their distinct permutations (``_orbits``).  Each
-kernel emits canonical terms and builds its result with ``Polynomial._raw``;
-it does not pass through the validating ``Polynomial(...)``.
+(``_peel``) and spread over their distinct permutations (``_orbits``).  Kernel
+loops run on ints; each kernel makes one ``Fraction`` per output coefficient
+and hands its canonical terms to ``Polynomial._raw``, not ``Polynomial(...)``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .characters import _character
 from .partitions import YoungDiagram, _ascending_compositions
@@ -235,12 +235,12 @@ def monomial(lam: YoungDiagram, alphabet: AlphabetContext) -> Polynomial:
 
 
 def _peel(layer: dict, n: int, step) -> dict:
-    """The weakly decreasing terms {(Q power, exponent vector): coeff} of a
+    """The weakly decreasing terms {(Q power, exponent vector): int} of a
     symmetric polynomial in x1..xn, peeling one letter per step, xn first.
 
     ``layer`` maps a state, what is left for the letters not yet peeled, to
-    {(Q power, exponents of the letters peeled so far): coeff}; ``step(state,
-    k)`` yields (next state, xk's power, {Q power: factor}), only () after x1.
+    {(Q power, exponents of the letters peeled so far): int}; ``step(state,
+    k)`` yields (next state, xk's power, {Q power: int}), only () after x1.
     A term grows only by a power at least the last one peeled, so only the
     weakly decreasing vectors, all a symmetric polynomial needs, survive.
     """
@@ -320,11 +320,16 @@ def miwa_push(p: Polynomial, alphabet: AlphabetContext) -> Polynomial:
 
     def step(mono, k):
         # By t_j = t_j(x1..x_{k-1}) + xk^j / j, xk takes b_j of t_j's e_j factors
-        # with weight prod_j binomial(e_j, b_j) / j^{b_j}; x1 takes all the rest.
+        # with weight prod_j binomial(e_j, b_j); x1 takes all the rest.
         for takes in product(*(range(0 if k > 1 else e, e + 1) for _, e in mono)):
             rest = tuple((v, e - b) for (v, e), b in zip(mono, takes) if e > b)
             power = sum(v.index * b for (v, _), b in zip(mono, takes))
-            yield rest, power, {0: Fraction(prod(comb(e, b) for (_, e), b in zip(mono, takes)),
-                                            prod(v.index ** b for (v, _), b in zip(mono, takes)))}
-    layer = {mono: {(0, ()): c} for mono, c in p.terms.items()}
-    return _orbits(_peel(layer, alphabet.count, step), alphabet.variables())
+            yield rest, power, {0: prod(comb(e, b) for (_, e), b in zip(mono, takes))}
+    # The factors 1/j of t_j join each coefficient's denominator; every source
+    # monomial then enters as an int over their common multiple den.
+    scale = {mono: c.denominator * prod(v.index ** e for v, e in mono)
+             for mono, c in p.terms.items()}
+    den = lcm(*scale.values())
+    layer = {mono: {(0, ()): c.numerator * den // scale[mono]} for mono, c in p.terms.items()}
+    dominant = _peel(layer, alphabet.count, step)
+    return _orbits({key: Fraction(c, den) for key, c in dominant.items() if c}, alphabet.variables())

@@ -8,9 +8,9 @@ routes agreeing.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import factorial
 
-from .characters import character, dimension, z_order
+from .characters import _character, character, dimension, z_order
 from .partitions import ConjugacyClass, partitions_of
 from .polyalgebra import Polynomial, q_var
 from .symfun import AlphabetContext, hall_littlewood, miwa_push, monomial, schur, schur_via_characters
@@ -46,25 +46,23 @@ def check_characters(max_boxes: int) -> tuple[str, bool, int]:
     ok = True
     for n in range(max_boxes + 1):
         shapes = list(partitions_of(n))
-        classes = [lam.conjugacy_class() for lam in shapes]
-        table = {
-            (lam.parts, mu): character(lam, mu) for lam in shapes for mu in classes
-        }
-        # first orthogonality over all shape pairs
-        for a in shapes:
-            for b in shapes:
-                total = sum(
-                    Fraction(table[a.parts, mu] * table[b.parts, mu], z_order(mu))
-                    for mu in classes
-                )
-                if total != (1 if a == b else 0):
+        table = [[_character(lam.parts, mu.parts) for mu in shapes] for lam in shapes]
+        z = [z_order(mu.conjugacy_class()) for mu in shapes]
+        order = factorial(n)
+        sizes = [order // z_mu for z_mu in z]  # permutations of cycle type mu
+        # first orthogonality over all shape pairs, times n!
+        for a, row_a in enumerate(table):
+            for b, row_b in enumerate(table):
+                total = sum(size * x * y for size, x, y in zip(sizes, row_a, row_b))
+                if total != (order if a == b else 0):
                     ok = False
                 cases += 1
         # second orthogonality over all class pairs
-        for mu in classes:
-            for nu in classes:
-                total = sum(table[lam.parts, mu] * table[lam.parts, nu] for lam in shapes)
-                if total != (z_order(mu) if mu == nu else 0):
+        columns = list(zip(*table))
+        for mu, col_mu in enumerate(columns):
+            for nu, col_nu in enumerate(columns):
+                total = sum(x * y for x, y in zip(col_mu, col_nu))
+                if total != (z[mu] if mu == nu else 0):
                     ok = False
                 cases += 1
         # identity class equals the hook-length dimension

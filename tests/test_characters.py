@@ -8,6 +8,7 @@ import pytest
 
 from schurkit import ConjugacyClass, YoungDiagram, character, dimension, partitions_of, z_order
 from schurkit.characters import _character
+from schurkit.verify import check_characters
 
 from oracles import frobenius_character
 
@@ -133,6 +134,10 @@ class TestOrthogonality:
                 for j, nu in enumerate(classes):
                     total = sum(table[s][i] * table[s][j] for s in shapes)
                     assert total == (z_order(mu) if i == j else 0)
+
+    def test_sweep_runs_on_ints(self, no_fraction_arithmetic):
+        """The verify sweep checks both relations without Fraction arithmetic."""
+        assert check_characters(8) == ("characters", True, 1904)
 
 
 class TestStructure:

@@ -139,6 +139,17 @@ class TestVerifyCommand:
         assert status == 0
         assert text.startswith("characters: pass (")
 
+    def test_wrong_character_fails(self, monkeypatch):
+        """The orthogonality sweep catches one flipped table entry."""
+        real = schurkit.verify._character
+
+        def flipped(parts, cycles):
+            value = real(parts, cycles)
+            return -value if (parts, cycles) == ((2, 1), (1, 1, 1)) else value
+
+        monkeypatch.setattr(schurkit.verify, "_character", flipped)
+        assert run(["verify", "characters", "--max-boxes", "3"]) == (3, "characters: FAIL (36 cases)")
+
     def test_failure_exits_three(self, monkeypatch):
         monkeypatch.setattr(
             "schurkit.cli.run_scope", lambda scope, max_boxes: [("oracles", False, 7)]
@@ -208,6 +219,7 @@ class TestErrorPaths:
             ["homogeneous", "-1"],
             ["hall-littlewood", "1,1,1", "--vars", "2"],
             ["hall-littlewood", "2,1", "--vars", "3", "--workers", "0"],
+            ["elementary", "-1"],
         ],
     )
     def test_domain_errors_exit_two(self, argv, capsys):
@@ -215,6 +227,11 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("schurkit: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["list", "homogeneous", "elementary"])
+    def test_negative_degree_message(self, command, capsys):
+        assert run([command, "-1"]) == (2, "")
+        assert capsys.readouterr().err == "schurkit: n must be nonnegative\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -672,9 +672,10 @@ class TestMiwaGolden:
         for key in json.loads(HL_GOLDEN.read_text())["cases"]:
             assert_canonical_terms(hl_golden_build(key))
 
-    def test_alphabet_outputs_skip_generic_arithmetic(self, monkeypatch):
+    def test_alphabet_outputs_skip_generic_arithmetic(self, monkeypatch, no_fraction_arithmetic):
         """monomial, hall_littlewood and miwa_push reach their golden bytes
-        without substitute, products or powers of Polynomials."""
+        without substitute, products or powers of Polynomials, and without
+        Fraction arithmetic."""
         miwa = json.loads(MIWA_GOLDEN.read_text())["cases"]
         hl = json.loads(HL_GOLDEN.read_text())["cases"]
 
@@ -688,3 +689,13 @@ class TestMiwaGolden:
                 assert digests(build()) == miwa[key], key
         for key, want in hl.items():
             assert digests(hl_golden_build(key)) == want, key
+
+    def test_t_outputs_skip_fraction_arithmetic(self, no_fraction_arithmetic):
+        """h, e, (skew) schur and schur_via_characters reach their golden
+        bytes on ints, with one Fraction per output coefficient."""
+        miwa = json.loads(MIWA_GOLDEN.read_text())["cases"]
+        homogeneous.cache_clear()  # so h and e are built under the patch
+        elementary.cache_clear()
+        for key, build in miwa_golden_cases():
+            if not key.startswith(("monomial|", "miwa_push|")):
+                assert digests(build()) == miwa[key], key
