@@ -129,6 +129,20 @@ def miwa_golden_cases():
     for n in range(5, 7):
         for name, p in MIWA_INPUTS.items():
             yield f"miwa_push|{n}|{name}", lambda p=p, n=n: miwa_push(p, AlphabetContext(n))
+    # Frozen later, before schur expanded the side with fewer rows: shapes of
+    # 13-16 boxes at most 3 wide and their conjugates, and skew pairs of 9-10
+    # boxes with more rows than columns and every contained mu of <= 3 boxes.
+    for n in range(13, 17):
+        for lam in partitions_of(n):
+            if lam.columns <= 3:
+                for shape in (lam, lam.transpose()):
+                    yield f"schur|{parts_key(shape)}", lambda shape=shape: schur(shape)
+    for n in (9, 10):
+        for lam in partitions_of(n):
+            if lam.rows > lam.columns:
+                for mu in shapes_up_to(3):
+                    if lam.contains(mu):
+                        yield f"skew|{parts_key(lam)}/{parts_key(mu)}", lambda lam=lam, mu=mu: schur(lam, mu)
 
 
 # t-polynomials other than Schur ones for miwa_push: mixed degrees with a
