@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -57,7 +58,10 @@ def parse_cycles(text: str) -> ConjugacyClass:
     return ConjugacyClass(mult)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The whole argument tree, built once per process: parsing leaves it
+    unchanged, so every ``run`` shares it."""
     parser = _Parser(prog="schurkit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -340,13 +340,19 @@ class Polynomial:
         slot wide enough for the largest one.  Descending ints are then
         descending exponent vectors, an absent variable counting as 0.
         """
+        return self._sorted_terms_and_variables()[0]
+
+    def _sorted_terms_and_variables(self) -> tuple[list[tuple[Monomial, Fraction]], list[Variable]]:
+        """``sorted_terms()`` and the variables, last first, from one pass over
+        the factors."""
         terms = self._terms
         factors = {ve for mono in terms for ve in mono}
         width = max((e for _, e in factors), default=0).bit_length()
         last_first = sorted({v for v, _ in factors}, reverse=True)
         shift = {v: i * width for i, v in enumerate(last_first)}
         packed = {(v, e): e << shift[v] for v, e in factors}.__getitem__
-        return sorted(terms.items(), key=lambda mc: sum(map(packed, mc[0])), reverse=True)
+        items = sorted(terms.items(), key=lambda mc: sum(map(packed, mc[0])), reverse=True)
+        return items, last_first
 
     def __str__(self) -> str:
         return canonical_text(self)
@@ -375,10 +381,10 @@ def canonical_text(p: Polynomial) -> str:
     Terms appear in canonical order; the first term carries a bare leading
     minus when negative, later terms are joined with " + " or " - ".
     """
-    items = p.sorted_terms()
+    items, variables = p._sorted_terms_and_variables()
     if not items:
         return "0"
-    names = {v: v.name for v in p.variables()}
+    names = {v: v.name for v in variables}
     pieces: list[str] = []
     for mono, coeff in items:
         body = _term_body(mono, coeff, names)
@@ -465,9 +471,10 @@ def determinant(rows: list[list[Polynomial]]) -> Polynomial:
 
 def to_term_list(p: Polynomial) -> list[dict]:
     """Encode as a list of {"coeff": "p/q", "monomial": {...}} in canonical order."""
-    names = {v: v.name for v in p.variables()}
+    items, variables = p._sorted_terms_and_variables()
+    names = {v: v.name for v in variables}
     return [{"coeff": str(coeff), "monomial": {names[v]: e for v, e in mono}}
-            for mono, coeff in p.sorted_terms()]
+            for mono, coeff in items]
 
 
 def _parse_variable(name: str) -> Variable:

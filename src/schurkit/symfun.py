@@ -3,7 +3,9 @@
 Complete homogeneous and elementary polynomials live in the power-sum
 coordinates t; (skew-)Schur polynomials come from the determinant identity
 det(h_{lam_i - mu_j - i + j}), expanded on integers (d! times the coefficients
-of a minor of weight d, over bit-packed exponents that never carry);
+of a minor of weight d, over bit-packed exponents that never carry) on the
+side with fewer rows: via the involution omega, a tall shape is the same
+determinant in e_k on its conjugate;
 monomial and Hall-Littlewood polynomials live in a finite alphabet x1..xN,
 the latter carrying the deformation parameter Q, and ``miwa_push`` moves a
 t-polynomial there via t_j -> (1/j) * (x1^j + ... + xN^j).  All three are
@@ -111,34 +113,42 @@ def schur(lam: YoungDiagram, mu: YoungDiagram | None = None) -> Polynomial:
     The matrix (h_{lam_i - mu_j - i + j}) is square of side
     max(rows(lam), rows(mu)), both partitions zero-padded, so its determinant
     vanishes whenever mu is not contained in lam.  With mu omitted this is the
-    straight Schur polynomial.
+    straight Schur polynomial.  When the conjugate pair has fewer rows, the
+    expansion runs on it instead, through the involution omega
+    (t_j -> (-1)^(j-1) t_j, h_k -> e_k, s_{lam/mu} -> s_{lam'/mu'}): the same
+    determinant with e_k entries on lam', mu' (Macdonald I (5.5)), so a tall
+    shape costs what its wide conjugate costs; ties keep the h side.
 
     The Laplace expansion along the top row, cached per column set, runs on
     integers: a minor of Miwa weight d is {packed exponents: d! * coeff}, the
     packed int holding t_j's exponent in its j-th fixed-width bit slot.  As
-    k! * h_k has integer coefficients, an entry of weight k times a minor of
-    weight d - k scales by binomial(d, k), and monomials multiply by adding
-    keys.  The one division, by d!, happens in the final Polynomial.
+    k! * h_k and k! * e_k have integer coefficients, an entry of weight k
+    times a minor of weight d - k scales by binomial(d, k), and monomials
+    multiply by adding keys.  The one division, by d!, happens in the final
+    Polynomial.
     """
     inner = mu if mu is not None else YoungDiagram()
-    m = max(lam.rows, inner.rows)
-    if m <= 1:  # the cached h_k itself, h_0 = 1 for two empty shapes
+    m, wide = max(lam.rows, inner.rows), max(lam.columns, inner.columns)
+    entry = homogeneous
+    if wide < m:
+        lam, inner, m, entry = lam.transpose(), inner.transpose(), wide, elementary
+    if m <= 1:  # the cached h_k or e_k itself, 1 for two empty shapes
         k = lam.boxes - inner.boxes
-        return homogeneous(k) if k >= 0 else Polynomial.zero()
+        return entry(k) if k >= 0 else Polynomial.zero()
     lp = lam.parts + (0,) * (m - lam.rows)
     mp = inner.parts + (0,) * (m - inner.rows)
-    # Entry (i, j) is h_{a[i] - b[j]}, zero when the index is negative.
+    # Entry (i, j) is entry(a[i] - b[j]), zero when the index is negative.
     a = [lp[i] - i for i in range(m)]
     b = [mp[j] - j for j in range(m)]
     top = a[0] - b[-1]  # the largest entry weight: a falls with i, b with j
     # Each exponent in a minor sums at most m entry exponents, each at most
     # top, and keys are only ever added, so a slot of this width never carries.
     width = (m * top).bit_length()
-    h = {}
+    table = {}
     for k in {x - y for x in a for y in b if x >= y}:
-        fk = factorial(k)  # h_k's coefficients are 1/prod_j k_j!
-        h[k] = {sum(e << (v.index - 1) * width for v, e in mono): fk // c.denominator
-                for mono, c in homogeneous(k).terms.items()}
+        fk = factorial(k)  # h_k's and e_k's coefficients are +-1/prod_j k_j!
+        table[k] = {sum(e << (v.index - 1) * width for v, e in mono):
+                    fk // c.denominator * c.numerator for mono, c in entry(k).terms.items()}
 
     cache: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
 
@@ -154,7 +164,7 @@ def schur(lam: YoungDiagram, mu: YoungDiagram | None = None) -> Polynomial:
             if not sub:  # a zero term; otherwise d >= k >= 0
                 continue
             scale = -comb(d, k) if pos % 2 else comb(d, k)
-            for ka, ca in h[k].items():
+            for ka, ca in table[k].items():
                 ca *= scale
                 for kb, cb in sub.items():
                     key = ka + kb

@@ -8,7 +8,7 @@ import pytest
 
 import schurkit
 from schurkit import canonical_text, from_term_list
-from schurkit.cli import main, run
+from schurkit.cli import build_parser, main, run
 
 # A child `python -m schurkit.cli` imports the same package as this process,
 # also when only pytest's `pythonpath` setting puts it on the path.
@@ -323,3 +323,25 @@ class TestMainAndProcess:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("schurkit: ")
+
+    def test_shared_parser_matches_fresh_processes(self, capsys):
+        """run() reuses one parser; a sequence of calls in one process prints
+        what each call prints in a process of its own, so no default, value
+        or error carries over from one call to the next."""
+        assert build_parser() is build_parser()
+        for argv in (
+            ["schur", "3,1", "--skew", "1", "--json"],
+            ["character", "3,x", "--cycles", "1:4"],  # usage error
+            ["schur", "1,2,3"],  # domain error
+            ["schur", "3,1"],
+        ):
+            status, output = run(argv)
+            err = capsys.readouterr().err
+            proc = subprocess.run(
+                [sys.executable, "-m", "schurkit.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=CHILD_ENV,
+            )
+            assert (status, output + "\n" if output else "") == (proc.returncode, proc.stdout), argv
+            assert err == proc.stderr and err.count("\n") <= 1, argv

@@ -308,6 +308,12 @@ class TestSchur:
         for n in range(11):
             assert schur(YoungDiagram((1,) * n)) == elementary(n)
 
+    def test_long_column_costs_a_row(self, no_fraction_arithmetic):
+        """(1^40) is expanded on its one-row conjugate; as a 40x40
+        h-determinant it does not finish in test time."""
+        assert schur(YoungDiagram((1,) * 40)) == elementary(40)
+        assert schur(YoungDiagram((40,))) == homogeneous(40)
+
     def test_empty_shape(self):
         assert schur(YoungDiagram(())) == Polynomial.one()
 
@@ -407,6 +413,14 @@ class TestSchurViaCharacters:
     def test_agrees_with_determinant_route(self):
         for lam in shapes_up_to(7):
             assert schur_via_characters(lam) == schur(lam)
+
+    def test_agrees_on_the_conjugate_side(self):
+        """Every 13-box shape with more rows than columns, which schur
+        expands as the e-determinant of its conjugate."""
+        switched = [lam for lam in partitions_of(13) if lam.columns < lam.rows]
+        assert len(switched) == 45
+        for lam in switched:
+            assert schur(lam) == schur_via_characters(lam), lam.parts
 
 
 class TestMonomial:
@@ -706,7 +720,8 @@ class TestMiwaGolden:
 
     def test_t_outputs_skip_fraction_arithmetic(self, no_fraction_arithmetic):
         """h, e, (skew) schur and schur_via_characters reach their golden
-        bytes on ints, with one Fraction per output coefficient."""
+        bytes on ints, with one Fraction per output coefficient; the tall
+        shapes among them run on their conjugate side, with e_k entries."""
         miwa = json.loads(MIWA_GOLDEN.read_text())["cases"]
         homogeneous.cache_clear()  # so h and e are built under the patch
         elementary.cache_clear()
