@@ -333,18 +333,18 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical order (descending lexicographic), the order of
-        ``_mono_key``.
+        ``_mono_key``."""
+        return self._sorted_terms_and_variables()[0]
+
+    def _sorted_terms_and_variables(self) -> tuple[list[tuple[Monomial, Fraction]], list[Variable]]:
+        """``sorted_terms()`` and the variables, last first, from one pass over
+        the factors.
 
         Each monomial packs into one int: over this polynomial's variables in
         ascending order, the first in the highest slot, each exponent in a
         slot wide enough for the largest one.  Descending ints are then
         descending exponent vectors, an absent variable counting as 0.
         """
-        return self._sorted_terms_and_variables()[0]
-
-    def _sorted_terms_and_variables(self) -> tuple[list[tuple[Monomial, Fraction]], list[Variable]]:
-        """``sorted_terms()`` and the variables, last first, from one pass over
-        the factors."""
         terms = self._terms
         factors = {ve for mono in terms for ve in mono}
         width = max((e for _, e in factors), default=0).bit_length()
