@@ -143,6 +143,20 @@ def miwa_golden_cases():
                 for mu in shapes_up_to(3):
                     if lam.contains(mu):
                         yield f"skew|{parts_key(lam)}/{parts_key(mu)}", lambda lam=lam, mu=mu: schur(lam, mu)
+    # Frozen later, before schur_via_characters took each shape's character
+    # column from one walk: every shape of 13 and 14 boxes, and the 22-28 box
+    # shapes of perfbench's character-route workload.
+    for n in (13, 14):
+        for lam in partitions_of(n):
+            yield f"schur_via_characters|{parts_key(lam)}", lambda lam=lam: schur_via_characters(lam)
+    for parts in SVC_LARGE:
+        lam = YoungDiagram(parts)
+        yield f"schur_via_characters|{parts_key(lam)}", lambda lam=lam: schur_via_characters(lam)
+
+
+# Shapes of 22-28 boxes whose character-route Schur polynomials are frozen.
+SVC_LARGE = ((6, 5, 4, 3, 2, 1, 1), (8, 6, 4, 2, 2), (7, 7, 5, 3), (5, 5, 5, 5, 2),
+             (6, 5, 4, 3, 2, 1, 1, 1, 1), (9, 7, 5, 3, 1), (7, 6, 5, 4, 3, 2, 1))
 
 
 # t-polynomials other than Schur ones for miwa_push: mixed degrees with a
