@@ -10,7 +10,7 @@ onto a clear bit; the cycles are consumed in one loop, layer by layer.
 from __future__ import annotations
 
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 from .partitions import ConjugacyClass, YoungDiagram
 
@@ -25,28 +25,72 @@ def z_order(mu: ConjugacyClass) -> int:
     return out
 
 
+def _beta_set(parts: tuple[int, ...]) -> int:
+    """Bit parts[i] + m-1-i for each of the m rows."""
+    m = len(parts)
+    return sum(1 << (p + m - 1 - i) for i, p in enumerate(parts))
+
+
+def _strip(layer: dict[int, int], r: int) -> dict[int, int]:
+    """The {beta-set: signed count} layer left by every strip of size r: a
+    strip moves a set bit b to the clear bit b-r, signed by the parity of the
+    set bits between them."""
+    between = (1 << (r - 1)) - 1
+    nxt: dict[int, int] = {}
+    for beta, count in layer.items():
+        # Bit a is set when a+r is in the beta-set and a is not.
+        free = (beta & ~(beta << r)) >> r
+        while free:
+            low = free & -free
+            free ^= low
+            moved = beta ^ low ^ (low << r)
+            height = (beta >> low.bit_length() & between).bit_count()
+            nxt[moved] = nxt.get(moved, 0) + (-count if height & 1 else count)
+    return nxt
+
+
 @cache
 def _character(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    """One {beta-set: signed count} layer per cycle.  The beta-set has bit
-    parts[i] + m-1-i for each of the m rows; a strip of size r moves a set bit
-    b to the clear bit b-r, signed by the parity of the set bits between them.
-    Only the empty shape's beta-set survives the last cycle."""
-    m = len(parts)
-    layer = {sum(1 << (p + m - 1 - i) for i, p in enumerate(parts)): 1}
+    """One layer per cycle; only the empty shape's beta-set survives the last
+    cycle."""
+    layer = {_beta_set(parts): 1}
     for r in cycles:
-        between = (1 << (r - 1)) - 1
-        nxt: dict[int, int] = {}
-        for beta, count in layer.items():
-            # Bit a is set when a+r is in the beta-set and a is not.
-            free = (beta & ~(beta << r)) >> r
-            while free:
-                low = free & -free
-                free ^= low
-                moved = beta ^ low ^ (low << r)
-                height = (beta >> low.bit_length() & between).bit_count()
-                nxt[moved] = nxt.get(moved, 0) + (-count if height & 1 else count)
-        layer = nxt
+        layer = _strip(layer, r)
     return sum(layer.values())
+
+
+@cache
+def _column(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The shape's nonzero characters, {cycles, largest first: value}.
+
+    One walk over the cycle types: a node is a prefix of cycles >= 2 with its
+    layer, and a child strips one more cycle, no larger than the last.  Padded
+    with 1-cycles up to the weight, a prefix is a cycle type whose character is
+    sum count * f^nu over its layer, f^nu the number of standard tableaux of
+    the shape nu with beta-set b_1 < ... < b_m and k boxes, which is
+    k! * prod_{i<j} (b_j - b_i) / prod_i b_i!.  An empty layer has no nonzero
+    character below it.
+    """
+    tableaux: dict[int, int] = {}  # f^nu by beta-set
+    column = {}
+    stack = [((), {_beta_set(parts): 1}, sum(parts))]
+    while stack:
+        prefix, layer, k = stack.pop()
+        chi = 0
+        for beta, count in layer.items():
+            f = tableaux.get(beta)
+            if f is None:
+                b = [i for i in range(beta.bit_length()) if beta >> i & 1]
+                gaps = prod(y - x for i, x in enumerate(b) for y in b[i + 1:])
+                f = tableaux[beta] = factorial(k) * gaps // prod(map(factorial, b))
+            chi += count * f
+        if chi:
+            column[prefix + (1,) * k] = chi
+        for r in range(min(prefix[-1] if prefix else k, k), 1, -1):
+            nxt = _strip(layer, r)
+            if nxt:
+                stack.append((prefix + (r,), nxt, k - r))
+    return column
 
 
 def character(shape: YoungDiagram, cycle_type: ConjugacyClass) -> int:

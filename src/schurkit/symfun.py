@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import groupby, product
 from math import comb, factorial, lcm, prod
 
-from .characters import _character
+from .characters import _column
 from .partitions import YoungDiagram, _ascending_compositions
 from .polyalgebra import Polynomial, Variable, q_var, t_var, x_var
 
@@ -64,12 +64,27 @@ class AlphabetContext(_Context):
     _var = staticmethod(x_var)
 
 
+# _T_PAIRS[j][k] is the pair (t_j, k), for j <= n and k <= n // j at the
+# largest weight n asked for so far: one shared monomial factor for every term
+# built here with k factors t_j.  It grows by being rebuilt and rebound, never
+# in place, so a caller always holds a whole table.
+_T_PAIRS: tuple[tuple[tuple[Variable, int], ...], ...] = ((),)
+
+
+def _t_pairs(n: int) -> tuple[tuple[tuple[Variable, int], ...], ...]:
+    """The shared (t_j, k) table, covering weight n."""
+    global _T_PAIRS
+    if len(_T_PAIRS) <= n:
+        _T_PAIRS = ((),) + tuple(tuple((t_var(j), k) for k in range(n // j + 1))
+                                 for j in range(1, n + 1))
+    return _T_PAIRS
+
+
 def _miwa_sum(n: int, weight) -> Polynomial:
     """sum_mu weight(mu) * prod_j t_j^{k_j} / k_j! over the cycle types mu of n,
     k_j the number of j-cycles: the Miwa form of sum_mu weight(mu) p_mu / z_mu.
     ``weight`` gets mu's cycles, largest first, and returns an int."""
-    # rows[j][k] is the pair (t_j, k), shared by every term with k j-cycles.
-    rows = [None] + [[(t_var(j), k) for k in range(n // j + 1)] for j in range(1, n + 1)]
+    rows = _t_pairs(n)
     facts = [1]
     for k in range(1, n + 1):
         facts.append(facts[-1] * k)
@@ -177,8 +192,7 @@ def schur(lam: YoungDiagram, mu: YoungDiagram | None = None) -> Polynomial:
         return Polynomial.zero()
     d, mask = lam.boxes - inner.boxes, (1 << width) - 1
     den = factorial(d)
-    # One shared (t_j, e) pair per exponent e <= d // j, not one per term.
-    rows = [[(t_var(j), e) for e in range(d // j + 1)] for j in range(1, top + 1)]
+    rows = _t_pairs(d)[1:top + 1]  # t_j's exponents are at most d // j
     terms = {}
     for key, c in scaled.items():
         mono = []
@@ -195,9 +209,11 @@ def schur_via_characters(lam: YoungDiagram) -> Polynomial:
 
     Independent route: sum over all mu of the same weight of
     chi^lam(mu) * prod_j t_j^{k_j} / k_j!.  The weights match by
-    construction, so the characters come straight from ``_character``.
+    construction, so the characters come straight from the shape's cached
+    column, one Murnaghan-Nakayama walk per shape (``_column``).
     """
-    return _miwa_sum(lam.boxes, lambda cycles: _character(lam.parts, cycles))
+    column = _column(lam.parts)
+    return _miwa_sum(lam.boxes, lambda cycles: column.get(cycles, 0))
 
 
 def _distinct_permutations(seq: tuple[int, ...]):

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from schurkit import ConjugacyClass, YoungDiagram, character, dimension, partitions_of, z_order
-from schurkit.characters import _character
+from schurkit import (ConjugacyClass, YoungDiagram, character, dimension, partitions_of,
+                      schur_via_characters, z_order)
+from schurkit.characters import _character, _column
 from schurkit.verify import check_characters
 
 from oracles import frobenius_character
@@ -95,14 +96,17 @@ class TestKnownTables:
 
     def test_matches_frozen_golden(self):
         """Digests of the full tables for n <= 14, frozen from the recursive
-        border-strip build."""
+        border-strip build, from one character per call and from columns."""
         golden = json.loads(CHARACTER_GOLDEN.read_text())["cases"]
         assert set(golden) == {str(n) for n in range(15)}
         for n in range(15):
             classes = classes_of(n)
-            rows = [[character(s, cc) for cc in classes] for s in partitions_of(n)]
-            wire = json.dumps(rows, separators=(",", ":"))
-            assert hashlib.sha256(wire.encode()).hexdigest() == golden[str(n)], n
+            shapes = list(partitions_of(n))
+            rows = [[character(s, cc) for cc in classes] for s in shapes]
+            columns = [[_column(s.parts).get(cc.cycles(), 0) for cc in classes] for s in shapes]
+            for table in (rows, columns):
+                wire = json.dumps(table, separators=(",", ":"))
+                assert hashlib.sha256(wire.encode()).hexdigest() == golden[str(n)], n
 
 
 class TestOrthogonality:
@@ -165,14 +169,40 @@ class TestStructure:
 
 class TestFrobeniusOracle:
     def test_matches_frobenius_formula(self):
-        """Every character for n <= 7 against the coefficient of x^(lam+delta)
-        in a_delta * p_mu."""
+        """Every character for n <= 7, one at a time and from the shape's
+        column, against the coefficient of x^(lam+delta) in a_delta * p_mu."""
         for n in range(8):
             for lam in partitions_of(n):
+                column = _column(lam.parts)
                 for cc in classes_of(n):
-                    assert character(lam, cc) == frobenius_character(lam.parts, cc.cycles()), (
-                        lam.parts, cc.cycles()
-                    )
+                    want = frobenius_character(lam.parts, cc.cycles())
+                    assert character(lam, cc) == want, (lam.parts, cc.cycles())
+                    assert column.get(cc.cycles(), 0) == want, (lam.parts, cc.cycles())
+
+
+class TestColumn:
+    def test_matches_one_character_per_call(self):
+        """A shape's column is its nonzero characters, for n <= 12."""
+        for n in range(13):
+            classes = [mu.parts for mu in partitions_of(n)]
+            for lam in partitions_of(n):
+                pointwise = {mu: _character(lam.parts, mu) for mu in classes}
+                assert _column(lam.parts) == {mu: x for mu, x in pointwise.items() if x}, lam.parts
+
+    def test_character_route_schur_uses_only_the_column(self):
+        """A 28-box shape fills one column and not p(28) character entries."""
+        _column.cache_clear()
+        before = _character.cache_info().currsize
+        schur_via_characters(YoungDiagram((7, 6, 5, 4, 3, 2, 1)))
+        assert _character.cache_info().currsize == before
+        assert _column.cache_info().currsize == 1
+
+    def test_one_class_walks_one_cycle_type(self):
+        """character() on 1000 fixed points peels one cycle type, never a
+        column of p(1000) of them."""
+        before = _column.cache_info().currsize
+        assert character(YoungDiagram((1000,)), ConjugacyClass({1: 1000})) == 1
+        assert _column.cache_info().currsize == before
 
 
 class TestDimension:

@@ -30,6 +30,9 @@ from schurkit import (
     to_term_list,
     x_var,
 )
+from schurkit.verify import _at_q_zero_and_one, check_degenerations
+
+from conftest import refuse_fraction_arithmetic
 from oracles import dp_partition_counts, hall_littlewood_numerator, naive_partitions
 
 T = {i: Polynomial.variable(t_var(i)) for i in range(1, 11)}
@@ -71,6 +74,45 @@ def hl_golden_build(key):
 
 # Large outputs frozen beside the |lam| <= 6 grid: 55 408 and 10 077 terms.
 HL_LARGE = ("8|4,3,2,1", "8|3,3,1,1")
+
+
+def refuse_generic_arithmetic(*args):
+    raise AssertionError("generic polynomial arithmetic was called")
+
+
+def build_refusing_arithmetic(cases):
+    """{key: (poly, digests, refused)} for (key, thunk) pairs, each built once
+    with h and e rebuilt and with Fraction arithmetic and substitute, products
+    and powers of Polynomials refused.  A case that reaches one of them is
+    marked refused and built again without the refusals, so its bytes are
+    still judged."""
+    cases = dict(cases)
+    out = {}
+    with pytest.MonkeyPatch.context() as patch:
+        refuse_fraction_arithmetic(patch)
+        for name in ("substitute", "__mul__", "__rmul__", "__pow__"):
+            patch.setattr(Polynomial, name, refuse_generic_arithmetic)
+        homogeneous.cache_clear()
+        elementary.cache_clear()
+        for key, build in cases.items():
+            try:
+                poly = build()
+                out[key] = poly, digests(poly), False
+            except AssertionError:
+                pass
+    for key in cases.keys() - out.keys():
+        poly = cases[key]()
+        out[key] = poly, digests(poly), True
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden_builds():
+    """Every MIWA_GOLDEN case and every HL_GOLDEN case, built once for all
+    the tests that judge them."""
+    hl_keys = json.loads(HL_GOLDEN.read_text())["cases"]
+    hl = ((key, lambda key=key: hl_golden_build(key)) for key in hl_keys)
+    return build_refusing_arithmetic(miwa_golden_cases()), build_refusing_arithmetic(hl)
 
 
 def parts_key(lam):
@@ -499,24 +541,35 @@ class TestHallLittlewood:
             assert poly.terms.get(mono) == 1
 
     def test_specializes_to_schur_at_zero(self):
+        """By substitute, and by the verify sweep's direct Q=0."""
         zero = {q_var(): Polynomial.zero()}
         for n, max_boxes in ((3, 4), (5, 6), (6, 6)):
             ctx = AlphabetContext(n)
             for lam in shapes_up_to(max_boxes):
                 if lam.rows > n:
                     continue
-                got = hall_littlewood(lam, ctx).substitute(zero)
+                hl = hall_littlewood(lam, ctx)
+                got = hl.substitute(zero)
                 assert got == miwa_push(schur(lam), ctx), (n, lam.parts)
+                assert _at_q_zero_and_one(hl)[0] == got, (n, lam.parts)
 
     def test_specializes_to_monomial_at_one(self):
+        """By substitute, and by the verify sweep's direct Q=1."""
         one = {q_var(): Polynomial.one()}
         for n, max_boxes in ((3, 4), (5, 6), (6, 6)):
             ctx = AlphabetContext(n)
             for lam in shapes_up_to(max_boxes):
                 if lam.rows > n:
                     continue
-                got = hall_littlewood(lam, ctx).substitute(one)
+                hl = hall_littlewood(lam, ctx)
+                got = hl.substitute(one)
                 assert got == monomial(lam, ctx), (n, lam.parts)
+                assert _at_q_zero_and_one(hl)[1] == got, (n, lam.parts)
+
+    def test_verify_sweep_skips_substitute(self, monkeypatch, no_fraction_arithmetic):
+        """verify degenerations specializes Q without substitute, on ints."""
+        monkeypatch.setattr(Polynomial, "substitute", refuse_generic_arithmetic)
+        assert check_degenerations(6) == ("degenerations", True, 50)
 
     def test_symmetric_under_swaps(self):
         poly = hall_littlewood(YoungDiagram((2, 1)), AlphabetContext(3))
@@ -557,7 +610,7 @@ class TestHallLittlewood:
         with pytest.raises(ValueError, match="^workers must be positive$"):
             hall_littlewood(YoungDiagram((2, 1)), AlphabetContext(3), workers=workers)
 
-    def test_matches_frozen_golden(self):
+    def test_matches_frozen_golden(self, golden_builds):
         """Byte digests frozen from the antisymmetrize-and-divide build at
         n = 3..6, from the full-vector layer loop at n = 7, 8, and from the
         validating constructor for the two large shapes in 8 letters."""
@@ -569,8 +622,9 @@ class TestHallLittlewood:
             if lam.rows <= n
         } | set(HL_LARGE)
         assert set(golden) == cases
+        built = golden_builds[1]
         for key, want in golden.items():
-            assert digests(hl_golden_build(key)) == want, key
+            assert built[key][1] == want, key
 
     def test_generic_q_numerator_oracle(self):
         """P_lam * Vandermonde * prod_m [m]_Q! is the antisymmetrized numerator."""
@@ -696,49 +750,43 @@ def assert_canonical_terms(p):
 
 
 class TestMiwaGolden:
-    def test_matches_frozen_golden(self):
+    def test_matches_frozen_golden(self, golden_builds):
         """Byte digests of h, e, (skew) Schur, miwa_push and monomial, frozen
         before the Miwa term builder was shared."""
         golden = json.loads(MIWA_GOLDEN.read_text())["cases"]
-        cases = dict(miwa_golden_cases())
-        assert set(golden) == set(cases)
-        for key, build in cases.items():
-            assert digests(build()) == golden[key], key
+        built = golden_builds[0]
+        assert set(golden) == set(built)
+        for key, (_, got, _) in built.items():
+            assert got == golden[key], key
 
-    def test_kernel_output_is_canonical(self):
+    def test_kernel_output_is_canonical(self, golden_builds):
         """Every golden case of the kernels that build through Polynomial._raw
         (schur, h, e, schur_via_characters, monomial, hall_littlewood and
         miwa_push) already holds canonical terms."""
-        for _, build in miwa_golden_cases():
-            assert_canonical_terms(build())
-        for key in json.loads(HL_GOLDEN.read_text())["cases"]:
-            assert_canonical_terms(hl_golden_build(key))
+        for built in golden_builds:
+            for poly, _, _ in built.values():
+                assert_canonical_terms(poly)
 
-    def test_alphabet_outputs_skip_generic_arithmetic(self, monkeypatch, no_fraction_arithmetic):
+    def test_alphabet_outputs_skip_generic_arithmetic(self, golden_builds):
         """monomial, hall_littlewood and miwa_push reach their golden bytes
         without substitute, products or powers of Polynomials, and without
         Fraction arithmetic."""
         miwa = json.loads(MIWA_GOLDEN.read_text())["cases"]
         hl = json.loads(HL_GOLDEN.read_text())["cases"]
-
-        def refuse(*args):
-            raise AssertionError("generic polynomial arithmetic was called")
-
-        for name in ("substitute", "__mul__", "__rmul__", "__pow__"):
-            monkeypatch.setattr(Polynomial, name, refuse)
-        for key, build in miwa_golden_cases():
+        built_miwa, built_hl = golden_builds
+        for key, (_, got, refused) in built_miwa.items():
             if key.startswith(("monomial|", "miwa_push|")):
-                assert digests(build()) == miwa[key], key
+                assert not refused and got == miwa[key], key
         for key, want in hl.items():
-            assert digests(hl_golden_build(key)) == want, key
+            _, got, refused = built_hl[key]
+            assert not refused and got == want, key
 
-    def test_t_outputs_skip_fraction_arithmetic(self, no_fraction_arithmetic):
+    def test_t_outputs_skip_fraction_arithmetic(self, golden_builds):
         """h, e, (skew) schur and schur_via_characters reach their golden
-        bytes on ints, with one Fraction per output coefficient; the tall
-        shapes among them run on their conjugate side, with e_k entries."""
+        bytes on ints, with one Fraction per output coefficient and with h and
+        e built under the same refusals; the tall shapes among them run on
+        their conjugate side, with e_k entries."""
         miwa = json.loads(MIWA_GOLDEN.read_text())["cases"]
-        homogeneous.cache_clear()  # so h and e are built under the patch
-        elementary.cache_clear()
-        for key, build in miwa_golden_cases():
+        for key, (_, got, refused) in golden_builds[0].items():
             if not key.startswith(("monomial|", "miwa_push|")):
-                assert digests(build()) == miwa[key], key
+                assert not refused and got == miwa[key], key
