@@ -5,6 +5,11 @@ cycles first, weighting each removal by (-1)^height with height = rows
 occupied minus one.  Shapes are beta-sets (first-column hook lengths) packed
 into an int, where stripping a hook of length r moves one set bit down by r
 onto a clear bit; the cycles are consumed in one loop, layer by layer.
+``_column(parts)``, behind ``schur_via_characters``, gives a shape's whole
+column of characters from one walk over the cycle types with the same strip
+step: cycle types that share leading cycles share their layers, and a rest of
+1-cycles is closed in one step by the standard-tableau counts of the shapes
+left.
 """
 
 from __future__ import annotations
