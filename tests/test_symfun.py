@@ -194,6 +194,15 @@ def miwa_golden_cases():
     for parts in SVC_LARGE:
         lam = YoungDiagram(parts)
         yield f"schur_via_characters|{parts_key(lam)}", lambda lam=lam: schur_via_characters(lam)
+    # Frozen later, before monomial and the orbit spread stopped walking
+    # distinct permutations: monomial in 7 and 8 letters, and 8-box Schur
+    # shapes pushed to 6 letters.
+    for n in (7, 8):
+        for lam in shapes_up_to(6):
+            yield f"monomial|{n}|{parts_key(lam)}", lambda lam=lam, n=n: monomial(lam, AlphabetContext(n))
+    for lam in partitions_of(8):
+        yield (f"miwa_push|6|{parts_key(lam)}",
+               lambda lam=lam: miwa_push(schur(lam), AlphabetContext(6)))
 
 
 # Shapes of 22-28 boxes whose character-route Schur polynomials are frozen.
@@ -612,15 +621,17 @@ class TestHallLittlewood:
 
     def test_matches_frozen_golden(self, golden_builds):
         """Byte digests frozen from the antisymmetrize-and-divide build at
-        n = 3..6, from the full-vector layer loop at n = 7, 8, and from the
-        validating constructor for the two large shapes in 8 letters."""
+        n = 3..6, from the full-vector layer loop at n = 7, 8, from the
+        validating constructor for the two large shapes in 8 letters, and
+        from the distinct-permutation orbit spread for 7-box shapes in 7 and
+        8 letters."""
         golden = json.loads(HL_GOLDEN.read_text())["cases"]
         cases = {
             f"{n}|{','.join(map(str, lam.parts))}"
             for n in range(3, 9)
             for lam in shapes_up_to(6)
             if lam.rows <= n
-        } | set(HL_LARGE)
+        } | set(HL_LARGE) | {f"{n}|{parts_key(lam)}" for n in (7, 8) for lam in partitions_of(7)}
         assert set(golden) == cases
         built = golden_builds[1]
         for key, want in golden.items():
