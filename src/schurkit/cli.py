@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -24,6 +25,7 @@ from .verify import MAX_BOXES_LIMIT, SCOPES, run_scope
 BENCH_MAX_PARTITIONS = 80
 BENCH_MAX_ALPHABET = 8
 BENCH_MAX_STAIRCASE = 8
+SHAPE_MAX_BOXES = 10**6  # partition and draw; their output grows with the boxes
 
 
 class UsageError(Exception):
@@ -43,6 +45,13 @@ def parse_parts(text: str) -> YoungDiagram:
     except ValueError:
         raise UsageError(f"malformed partition literal {text!r}") from None
     return YoungDiagram(parts)
+
+
+def _bounded_shape(text: str) -> YoungDiagram:
+    shape = parse_parts(text)
+    if shape.boxes > SHAPE_MAX_BOXES:
+        raise ValueError(f"shape must have at most {SHAPE_MAX_BOXES} boxes")
+    return shape
 
 
 def parse_cycles(text: str) -> ConjugacyClass:
@@ -140,7 +149,7 @@ def run(argv: list[str]) -> tuple[int, str]:
 
     try:
         if args.command == "partition":
-            d = parse_parts(args.parts)
+            d = _bounded_shape(args.parts)
             fr = d.frobenius()
             conj = ",".join(f"{j}:{k}" for j, k in sorted(d.conjugacy_class().multiplicities.items()))
             lines = [
@@ -157,7 +166,7 @@ def run(argv: list[str]) -> tuple[int, str]:
             return 0, "\n".join(lines)
 
         if args.command == "draw":
-            return 0, parse_parts(args.parts).draw(args.symbol)
+            return 0, _bounded_shape(args.parts).draw(args.symbol)
 
         if args.command == "list":
             return 0, "\n".join(
@@ -248,7 +257,13 @@ def _bench(args) -> tuple[int, str]:
 def main(argv: list[str] | None = None) -> int:
     status, output = run(sys.argv[1:] if argv is None else argv)
     if output:
-        print(output)
+        try:
+            print(output)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader left: what is still buffered goes to devnull, so the
+            # flush at exit raises nothing either.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

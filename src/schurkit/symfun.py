@@ -1,26 +1,29 @@
 """The classical symmetric-polynomial families, exactly.
 
-Complete homogeneous and elementary polynomials live in the power-sum
-coordinates t; (skew-)Schur polynomials come from the determinant identity
-det(h_{lam_i - mu_j - i + j}), expanded on integers (d! times the coefficients
-of a minor of weight d, over bit-packed exponents that never carry) on the
-side with fewer rows: via the involution omega, a tall shape is the same
-determinant in e_k on its conjugate;
+Complete homogeneous polynomials live in the power-sum coordinates t, one
+term per cycle type, and elementary ones are their images under the
+involution omega, e_n = omega(h_n); (skew-)Schur polynomials come from the
+determinant identity det(h_{lam_i - mu_j - i + j}), expanded on integers (d!
+times the coefficients of a minor of weight d, over bit-packed exponents that
+never carry) on the side with fewer rows: via omega, a tall shape is the same
+determinant in e_k on its conjugate.  The character route, the independent
+oracle, sums only the nonzero characters of the shape's column;
 monomial and Hall-Littlewood polynomials live in a finite alphabet x1..xN,
 the latter carrying the deformation parameter Q, and ``miwa_push`` moves a
 t-polynomial there via t_j -> (1/j) * (x1^j + ... + xN^j).  All three are
 symmetric: their weakly decreasing exponent vectors are built letter by letter
-(``_peel``) and spread over their distinct permutations (``_orbits``).  Kernel
-loops run on ints; each kernel makes one ``Fraction`` per output coefficient
-and hands its canonical terms to ``Polynomial._raw``, not ``Polynomial(...)``.
-"""
+(``_peel``) and spread over their orbits once per vector, each distinct
+exponent on every combination of the letters still free (``_orbits``).
+Kernel loops run on ints; each kernel makes one ``Fraction`` per output
+coefficient and hands its canonical terms to ``Polynomial._raw``, not
+``Polynomial(...)``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import combinations, groupby, product
 from math import comb, factorial, lcm, prod
 
 from .characters import _column
@@ -80,27 +83,6 @@ def _t_pairs(n: int) -> tuple[tuple[tuple[Variable, int], ...], ...]:
     return _T_PAIRS
 
 
-def _miwa_sum(n: int, weight) -> Polynomial:
-    """sum_mu weight(mu) * prod_j t_j^{k_j} / k_j! over the cycle types mu of n,
-    k_j the number of j-cycles: the Miwa form of sum_mu weight(mu) p_mu / z_mu.
-    ``weight`` gets mu's cycles, largest first, and returns an int."""
-    rows = _t_pairs(n)
-    facts = [1]
-    for k in range(1, n + 1):
-        facts.append(facts[-1] * k)
-    terms = {}
-    for parts in _ascending_compositions(n):  # ascending, so t_j ascends too
-        w = weight(tuple(reversed(parts)))
-        if w:
-            mono, den = [], 1
-            for j, run in groupby(parts):
-                k = len(list(run))
-                mono.append(rows[j][k])
-                den *= facts[k]
-            terms[tuple(mono)] = Fraction(w, den)
-    return Polynomial._raw(terms)
-
-
 @lru_cache(maxsize=None)
 def homogeneous(n: int) -> Polynomial:
     """Complete homogeneous polynomial h_n in the t-coordinates.
@@ -110,16 +92,26 @@ def homogeneous(n: int) -> Polynomial:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _miwa_sum(n, lambda cycles: 1)
+    rows = _t_pairs(n)
+    terms = {}
+    for parts in _ascending_compositions(n):  # ascending, so t_j ascends too
+        mono, den = [], 1
+        for j, run in groupby(parts):
+            k = len(list(run))
+            mono.append(rows[j][k])
+            den *= factorial(k)
+        terms[tuple(mono)] = Fraction(1, den)
+    return Polynomial._raw(terms)
 
 
 @lru_cache(maxsize=None)
 def elementary(n: int) -> Polynomial:
-    """Elementary polynomial e_n = sum_mu (-1)^{n - rows(mu)} prod_j t_j^{k_j} / k_j!
-    in the t-coordinates, over the same mu as h_n (Macdonald I (2.14'))."""
+    """Elementary polynomial e_n = omega(h_n) in the t-coordinates: h_n's term
+    of a cycle type with r cycles, signed (-1)^(n - r) (Macdonald I (2.14'))."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _miwa_sum(n, lambda cycles: (-1) ** (n - len(cycles)))
+    return Polynomial._raw({mono: -c if n - sum(k for _, k in mono) & 1 else c
+                            for mono, c in homogeneous(n).terms.items()})
 
 
 def schur(lam: YoungDiagram, mu: YoungDiagram | None = None) -> Polynomial:
@@ -207,57 +199,63 @@ def schur(lam: YoungDiagram, mu: YoungDiagram | None = None) -> Polynomial:
 def schur_via_characters(lam: YoungDiagram) -> Polynomial:
     """Schur polynomial as the character-weighted sum over cycle types.
 
-    Independent route: sum over all mu of the same weight of
-    chi^lam(mu) * prod_j t_j^{k_j} / k_j!.  The weights match by
-    construction, so the characters come straight from the shape's cached
-    column, one Murnaghan-Nakayama walk per shape (``_column``).
+    Independent route: s_lam = sum_rho chi^lam(rho) p_rho / z_rho (Macdonald
+    I (7.8)), in the t-coordinates chi^lam(rho) * prod_j t_j^{k_j} / k_j!,
+    k_j the number of j-cycles of rho.  Only the nonzero characters carry
+    terms, and the shape's cached column (``_column``, one Murnaghan-Nakayama
+    walk per shape) holds exactly those.
     """
-    column = _column(lam.parts)
-    return _miwa_sum(lam.boxes, lambda cycles: column.get(cycles, 0))
-
-
-def _distinct_permutations(seq: tuple[int, ...]):
-    """All distinct arrangements of a multiset, by repeated next-permutation."""
-    current = sorted(seq)
-    n = len(current)
-    while True:
-        yield tuple(current)
-        k = n - 2
-        while k >= 0 and current[k] >= current[k + 1]:
-            k -= 1
-        if k < 0:
-            return
-        j = n - 1
-        while current[j] <= current[k]:
-            j -= 1
-        current[k], current[j] = current[j], current[k]
-        current[k + 1:] = reversed(current[k + 1:])
+    rows = _t_pairs(lam.boxes)
+    terms = {}
+    for cycles, chi in _column(lam.parts).items():
+        mono, den = [], 1
+        for j, run in groupby(reversed(cycles)):  # t_j ascending
+            k = len(list(run))
+            mono.append(rows[j][k])
+            den *= factorial(k)
+        terms[tuple(mono)] = Fraction(chi, den)
+    return Polynomial._raw(terms)
 
 
 def _orbits(dominant: dict, xs: tuple[Variable, ...]) -> Polynomial:
     """The symmetric polynomial in xs whose weakly decreasing terms are
     ``dominant``, {(Q power, exponent vector): int or Fraction coeff}, one
-    orbit per vector; zero coefficients drop out."""
-    top = max((alpha[0] for _, alpha in dominant), default=0)  # alpha decreases
+    orbit per vector; zero coefficients drop out.  A vector's monomials are
+    built once for all its Q powers: each distinct nonzero exponent goes on
+    every combination of the letters still free."""
+    by_alpha: dict[tuple[int, ...], list] = {}
+    for (q, alpha), c in dominant.items():
+        if c:
+            by_alpha.setdefault(alpha, []).append((q, Fraction(c)))
+    top = max((alpha[0] for alpha in by_alpha if alpha), default=0)  # alpha decreases
     rows = [[(x, e) for e in range(top + 1)] for x in xs]  # one shared pair per (x, e)
     terms = {}
     q_v = q_var()
-    for (q, alpha), c in dominant.items():
-        if not c:
-            continue
-        c = Fraction(c)
-        head = ((q_v, q),) if q else ()
-        for perm in _distinct_permutations(alpha):
-            terms[head + tuple([row[e] for row, e in zip(rows, perm) if e])] = c
+    for alpha, coeffs in by_alpha.items():
+        vectors = [[0] * len(xs)]
+        for e, run in groupby(e for e in alpha if e):
+            m = len(list(run))
+            spread = []
+            for vec in vectors:
+                for letters in combinations([i for i, f in enumerate(vec) if not f], m):
+                    new = list(vec)
+                    for i in letters:
+                        new[i] = e
+                    spread.append(new)
+            vectors = spread
+        monos = [tuple([row[e] for row, e in zip(rows, vec) if e]) for vec in vectors]
+        for q, c in coeffs:
+            head = ((q_v, q),) if q else ()
+            for mono in monos:
+                terms[head + mono] = c
     return Polynomial._raw(terms)
 
 
 def monomial(lam: YoungDiagram, alphabet: AlphabetContext) -> Polynomial:
     """Monomial symmetric polynomial: all distinct permutations of the exponents."""
-    n = alphabet.count
-    if lam.rows > n:
+    if lam.rows > alphabet.count:
         return Polynomial.zero()
-    return _orbits({(0, lam.parts + (0,) * (n - lam.rows)): 1}, alphabet.variables())
+    return _orbits({(0, lam.parts): 1}, alphabet.variables())
 
 
 def _peel(layer: dict, n: int, step) -> dict:

@@ -8,6 +8,7 @@ import pytest
 
 from schurkit import (ConjugacyClass, YoungDiagram, character, dimension, partitions_of,
                       schur_via_characters, z_order)
+from schurkit import symfun
 from schurkit.characters import _character, _column
 from schurkit.verify import check_characters
 
@@ -189,13 +190,22 @@ class TestColumn:
                 pointwise = {mu: _character(lam.parts, mu) for mu in classes}
                 assert _column(lam.parts) == {mu: x for mu, x in pointwise.items() if x}, lam.parts
 
-    def test_character_route_schur_uses_only_the_column(self):
-        """A 28-box shape fills one column and not p(28) character entries."""
+    def test_character_route_schur_uses_only_the_column(self, monkeypatch):
+        """A 28-box shape fills one column and not p(28) character entries,
+        and its terms come from the column's nonzero characters alone: the
+        oracle walks no cycle types and shares nothing with h and e."""
+        def refuse(*args):
+            raise AssertionError("the character route left its column")
+
+        for name in ("_ascending_compositions", "homogeneous", "elementary"):
+            monkeypatch.setattr(symfun, name, refuse)
         _column.cache_clear()
         before = _character.cache_info().currsize
-        schur_via_characters(YoungDiagram((7, 6, 5, 4, 3, 2, 1)))
+        lam = YoungDiagram((7, 6, 5, 4, 3, 2, 1))
+        poly = schur_via_characters(lam)
         assert _character.cache_info().currsize == before
         assert _column.cache_info().currsize == 1
+        assert len(poly.terms) == len(_column(lam.parts)) == 159
 
     def test_one_class_walks_one_cycle_type(self):
         """character() on 1000 fixed points peels one cycle type, never a

@@ -220,6 +220,8 @@ class TestErrorPaths:
             ["hall-littlewood", "1,1,1", "--vars", "2"],
             ["hall-littlewood", "2,1", "--vars", "3", "--workers", "0"],
             ["elementary", "-1"],
+            ["draw", "2000000000"],
+            ["partition", "2000000000"],
         ],
     )
     def test_domain_errors_exit_two(self, argv, capsys):
@@ -323,6 +325,21 @@ class TestMainAndProcess:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("schurkit: ")
+
+    def test_closed_stdout_is_quiet(self):
+        """A reader that leaves after one line, as `| head -1` does, gets
+        the command's own status and no traceback on stderr."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "schurkit.cli", "list", "40"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=CHILD_ENV,
+        )
+        assert proc.stdout.readline() == b"1," * 39 + b"1\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
     def test_shared_parser_matches_fresh_processes(self, capsys):
         """run() reuses one parser; a sequence of calls in one process prints
