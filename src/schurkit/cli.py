@@ -263,7 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         except BrokenPipeError:
             # The reader left: what is still buffered goes to devnull, so the
             # flush at exit raises nothing either.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return status
 
 
