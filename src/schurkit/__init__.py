@@ -1,71 +1,10 @@
 """Exact integer partitions, symmetric-group characters and symmetric polynomials."""
 
-from .partitions import (
-    ConjugacyClass,
-    DRAW_SYMBOLS,
-    FrobeniusCoords,
-    ShapeProfile,
-    YoungDiagram,
-    partitions_of,
-)
-from .polyalgebra import (
-    ExactDivisionError,
-    Monomial,
-    Polynomial,
-    Variable,
-    canonical_text,
-    determinant,
-    exact_divide,
-    from_term_list,
-    q_var,
-    t_var,
-    to_term_list,
-    x_var,
-)
-from .characters import character, dimension, z_order
-from .symfun import (
-    AlphabetContext,
-    MiwaContext,
-    elementary,
-    hall_littlewood,
-    homogeneous,
-    miwa_push,
-    monomial,
-    schur,
-    schur_via_characters,
-)
+from .partitions import *
+from .polyalgebra import *
+from .characters import *
+from .symfun import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphabetContext",
-    "ConjugacyClass",
-    "DRAW_SYMBOLS",
-    "ExactDivisionError",
-    "FrobeniusCoords",
-    "MiwaContext",
-    "Monomial",
-    "Polynomial",
-    "ShapeProfile",
-    "Variable",
-    "YoungDiagram",
-    "canonical_text",
-    "character",
-    "determinant",
-    "dimension",
-    "elementary",
-    "exact_divide",
-    "from_term_list",
-    "hall_littlewood",
-    "homogeneous",
-    "miwa_push",
-    "monomial",
-    "partitions_of",
-    "q_var",
-    "schur",
-    "schur_via_characters",
-    "t_var",
-    "to_term_list",
-    "x_var",
-    "z_order",
-]
+__all__ = partitions.__all__ + polyalgebra.__all__ + characters.__all__ + symfun.__all__

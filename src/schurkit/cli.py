@@ -25,7 +25,7 @@ from .verify import MAX_BOXES_LIMIT, SCOPES, run_scope
 BENCH_MAX_PARTITIONS = 80
 BENCH_MAX_ALPHABET = 8
 BENCH_MAX_STAIRCASE = 8
-SHAPE_MAX_BOXES = 10**6  # partition and draw; their output grows with the boxes
+SHAPE_MAX_BOXES = 10**6  # partition, draw and character; their work grows with the boxes
 
 
 class UsageError(Exception):
@@ -196,7 +196,7 @@ def run(argv: list[str]) -> tuple[int, str]:
             return 0, _emit_polynomial(args, "hall-littlewood", lam.parts, None, args.vars, poly)
 
         if args.command == "character":
-            shape = parse_parts(args.parts)
+            shape = _bounded_shape(args.parts)
             cycles = parse_cycles(args.cycles)
             return 0, str(character(shape, cycles))
 
@@ -216,6 +216,9 @@ def run(argv: list[str]) -> tuple[int, str]:
         return 1, ""
     except (ValueError, ArithmeticError) as exc:
         print(f"schurkit: {exc}", file=sys.stderr)
+        return 2, ""
+    except MemoryError:
+        print("schurkit: out of memory", file=sys.stderr)
         return 2, ""
     raise AssertionError("unreachable")
 

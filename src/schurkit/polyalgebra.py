@@ -132,7 +132,7 @@ class ExactDivisionError(ArithmeticError):
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
         """Sum the terms; the public door for raw monomials.  Pairs
@@ -160,7 +160,6 @@ class Polynomial:
             else:
                 del clean[mono]
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     # -- constructors -----------------------------------------------------
 
@@ -283,7 +282,6 @@ class Polynomial:
         coefficient a nonzero Fraction."""
         self = object.__new__(cls)
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
         return self
 
     # -- substitution -----------------------------------------------------
@@ -323,11 +321,7 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self._terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(frozenset(self._terms.items()))
 
     # -- rendering --------------------------------------------------------
 

@@ -108,8 +108,6 @@ def homogeneous(n: int) -> Polynomial:
 def elementary(n: int) -> Polynomial:
     """Elementary polynomial e_n = omega(h_n) in the t-coordinates: h_n's term
     of a cycle type with r cycles, signed (-1)^(n - r) (Macdonald I (2.14'))."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     return Polynomial._raw({mono: -c if n - sum(k for _, k in mono) & 1 else c
                             for mono, c in homogeneous(n).terms.items()})
 

@@ -222,6 +222,7 @@ class TestErrorPaths:
             ["elementary", "-1"],
             ["draw", "2000000000"],
             ["partition", "2000000000"],
+            ["character", "99999999999", "--cycles", "99999999999:1"],
         ],
     )
     def test_domain_errors_exit_two(self, argv, capsys):
@@ -250,6 +251,30 @@ class TestErrorPaths:
         assert run(argv) == (1, "")
         err = capsys.readouterr().err
         assert err.startswith("schurkit: ")
+
+    def test_out_of_memory_exits_two(self, monkeypatch, capsys):
+        def exhausted(n):
+            raise MemoryError
+        monkeypatch.setattr("schurkit.cli.homogeneous", exhausted)
+        assert run(["homogeneous", "3"]) == (2, "")
+        assert capsys.readouterr().err == "schurkit: out of memory\n"
+
+    def test_out_of_memory_in_a_process(self):
+        """Under a 1.5 GB address-space limit, listing the partitions of
+        5 * 10^9 runs out of memory and ends in one stderr line."""
+        resource = pytest.importorskip("resource")
+        limit = 1536 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-m", "schurkit.cli", "list", "5000000000"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "schurkit: out of memory\n"
 
     def test_nothing_on_stdout_after_error(self, capsys):
         status = main(["schur", "1,2,3"])

@@ -749,6 +749,17 @@ class TestContexts:
         assert repr(MiwaContext(3)) == "MiwaContext(count=3)"
         assert repr(AlphabetContext(2)) == "AlphabetContext(count=2)"
 
+    def test_equal_contexts_hash_equal(self):
+        assert hash(MiwaContext(3)) == hash(MiwaContext(3))
+        assert hash(AlphabetContext(4)) == hash(AlphabetContext(4))
+        assert len({MiwaContext(3), MiwaContext(3), AlphabetContext(3)}) == 2
+
+    def test_count_is_read_only(self):
+        for ctx in (MiwaContext(3), AlphabetContext(3)):
+            with pytest.raises(AttributeError):
+                ctx.count = 4
+            assert ctx.count == 3
+
 
 def assert_canonical_terms(p):
     """What kernels promise when they skip Polynomial(...)'s checks."""
