@@ -25,7 +25,7 @@ from .verify import MAX_BOXES_LIMIT, SCOPES, run_scope
 BENCH_MAX_PARTITIONS = 80
 BENCH_MAX_ALPHABET = 8
 BENCH_MAX_STAIRCASE = 8
-SHAPE_MAX_BOXES = 10**6  # partition, draw and character; their work grows with the boxes
+SHAPE_MAX_BOXES = 10**6  # every shape literal; the work on a shape grows with its boxes
 
 
 class UsageError(Exception):
@@ -44,11 +44,7 @@ def parse_parts(text: str) -> YoungDiagram:
         parts = [int(p) for p in text.split(",")]
     except ValueError:
         raise UsageError(f"malformed partition literal {text!r}") from None
-    return YoungDiagram(parts)
-
-
-def _bounded_shape(text: str) -> YoungDiagram:
-    shape = parse_parts(text)
+    shape = YoungDiagram(parts)
     if shape.boxes > SHAPE_MAX_BOXES:
         raise ValueError(f"shape must have at most {SHAPE_MAX_BOXES} boxes")
     return shape
@@ -124,15 +120,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit_polynomial(args, family: str, lam, mu, n_vars, poly) -> str:
+def _emit_polynomial(args, lam, mu, poly) -> str:
     if not args.json:
         return canonical_text(poly)
     return json.dumps(
         {
-            "family": family,
+            "family": args.command,
             "lambda": list(lam),
             "mu": list(mu) if mu is not None else None,
-            "vars": n_vars,
+            "vars": getattr(args, "vars", None),
             "terms": to_term_list(poly),
         },
         separators=(",", ":"),
@@ -149,7 +145,7 @@ def run(argv: list[str]) -> tuple[int, str]:
 
     try:
         if args.command == "partition":
-            d = _bounded_shape(args.parts)
+            d = parse_parts(args.parts)
             fr = d.frobenius()
             conj = ",".join(f"{j}:{k}" for j, k in sorted(d.conjugacy_class().multiplicities.items()))
             lines = [
@@ -166,7 +162,7 @@ def run(argv: list[str]) -> tuple[int, str]:
             return 0, "\n".join(lines)
 
         if args.command == "draw":
-            return 0, _bounded_shape(args.parts).draw(args.symbol)
+            return 0, parse_parts(args.parts).draw(args.symbol)
 
         if args.command == "list":
             return 0, "\n".join(
@@ -175,28 +171,25 @@ def run(argv: list[str]) -> tuple[int, str]:
 
         if args.command in ("homogeneous", "elementary"):
             poly = homogeneous(args.n) if args.command == "homogeneous" else elementary(args.n)
-            return 0, _emit_polynomial(args, args.command, (args.n,), None, None, poly)
+            return 0, _emit_polynomial(args, (args.n,), None, poly)
 
         if args.command == "schur":
             lam = parse_parts(args.parts)
             mu = parse_parts(args.skew) if args.skew is not None else None
-            poly = schur(lam, mu)
-            return 0, _emit_polynomial(
-                args, "schur", lam.parts, mu.parts if mu is not None else None, None, poly
-            )
+            return 0, _emit_polynomial(args, lam, mu, schur(lam, mu))
 
         if args.command == "monomial":
             lam = parse_parts(args.parts)
             poly = monomial(lam, AlphabetContext(args.vars))
-            return 0, _emit_polynomial(args, "monomial", lam.parts, None, args.vars, poly)
+            return 0, _emit_polynomial(args, lam, None, poly)
 
         if args.command == "hall-littlewood":
             lam = parse_parts(args.parts)
             poly = hall_littlewood(lam, AlphabetContext(args.vars), workers=args.workers)
-            return 0, _emit_polynomial(args, "hall-littlewood", lam.parts, None, args.vars, poly)
+            return 0, _emit_polynomial(args, lam, None, poly)
 
         if args.command == "character":
-            shape = _bounded_shape(args.parts)
+            shape = parse_parts(args.parts)
             cycles = parse_cycles(args.cycles)
             return 0, str(character(shape, cycles))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, groupby, product
 from math import comb, factorial, lcm, prod
 
@@ -67,20 +67,12 @@ class AlphabetContext(_Context):
     _var = staticmethod(x_var)
 
 
-# _T_PAIRS[j][k] is the pair (t_j, k), for j <= n and k <= n // j at the
-# largest weight n asked for so far: one shared monomial factor for every term
-# built here with k factors t_j.  It grows by being rebuilt and rebound, never
-# in place, so a caller always holds a whole table.
-_T_PAIRS: tuple[tuple[tuple[Variable, int], ...], ...] = ((),)
-
-
+@cache
 def _t_pairs(n: int) -> tuple[tuple[tuple[Variable, int], ...], ...]:
-    """The shared (t_j, k) table, covering weight n."""
-    global _T_PAIRS
-    if len(_T_PAIRS) <= n:
-        _T_PAIRS = ((),) + tuple(tuple((t_var(j), k) for k in range(n // j + 1))
-                                 for j in range(1, n + 1))
-    return _T_PAIRS
+    """The table of weight n: entry [j][k] is the pair (t_j, k), for j <= n and
+    k <= n // j, one shared monomial factor for every term with k factors t_j."""
+    return ((),) + tuple(tuple((t_var(j), k) for k in range(n // j + 1))
+                         for j in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,24 @@ class TestJson:
         assert payload["mu"] is None
         assert payload["vars"] == 3
         assert isinstance(payload["terms"], list)
+
+    @pytest.mark.parametrize(
+        "argv, family, lam, mu, n_vars",
+        [
+            (["homogeneous", "3"], "homogeneous", [3], None, None),
+            (["elementary", "3"], "elementary", [3], None, None),
+            (["schur", "3,1", "--skew", "1"], "schur", [3, 1], [1], None),
+            (["monomial", "2,1", "--vars", "3"], "monomial", [2, 1], None, 3),
+            (["hall-littlewood", "2,1", "--vars", "3"], "hall-littlewood", [2, 1], None, 3),
+        ],
+    )
+    def test_payload_names_its_request(self, argv, family, lam, mu, n_vars):
+        status, encoded = run(argv + ["--json"])
+        assert status == 0
+        payload = json.loads(encoded)
+        assert (payload["family"], payload["lambda"], payload["mu"], payload["vars"]) == (
+            family, lam, mu, n_vars
+        )
 
     def test_skew_payload_records_mu(self):
         _, encoded = run(["schur", "3,1", "--skew", "1", "--json"])
@@ -230,6 +249,22 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("schurkit: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schur", "99999999999"],
+            ["schur", "3,2", "--skew", "99999999999"],
+            ["monomial", "99999999999", "--vars", "1"],
+            ["hall-littlewood", "99999999999", "--vars", "1"],
+        ],
+    )
+    def test_every_shape_literal_is_bounded(self, argv, capsys):
+        """Each shape literal is refused past the box bound before any work."""
+        start = time.perf_counter()
+        assert run(argv) == (2, "")
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == "schurkit: shape must have at most 1000000 boxes\n"
 
     @pytest.mark.parametrize("command", ["list", "homogeneous", "elementary"])
     def test_negative_degree_message(self, command, capsys):

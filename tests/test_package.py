@@ -1,7 +1,8 @@
-"""The package's public surface: which names it exports and where they live."""
+"""The package's public surface: which names it exports and where they live,
+and the caches its modules keep."""
 
 import schurkit
-from schurkit import characters, partitions, polyalgebra, symfun
+from schurkit import YoungDiagram, canonical_text, characters, cli, partitions, polyalgebra, symfun
 
 PUBLIC_NAMES = [
     "AlphabetContext",
@@ -53,3 +54,33 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from schurkit import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == PUBLIC_NAMES
+
+
+MODULE_CACHES = [
+    symfun.homogeneous,
+    symfun.elementary,
+    symfun._t_pairs,
+    characters._character,
+    characters._column,
+    cli.build_parser,
+]
+
+
+def cached_outputs():
+    staircase = YoungDiagram((7, 6, 5, 4, 3, 2, 1))
+    return (
+        canonical_text(symfun.schur(staircase)),
+        canonical_text(symfun.schur_via_characters(staircase)),
+        canonical_text(symfun.elementary(12)),
+        cli.run(["schur", "4,2", "--json"]),
+        cli.run(["character", "4,2", "--cycles", "3:2"]),
+    )
+
+
+def test_clearing_the_module_caches_keeps_the_bytes():
+    before = cached_outputs()
+    for cached in MODULE_CACHES:
+        assert cached.cache_info().currsize > 0, cached.__name__
+        cached.cache_clear()
+        assert cached.cache_info().currsize == 0, cached.__name__
+    assert cached_outputs() == before
