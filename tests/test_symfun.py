@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 import threading
 import time
 from fractions import Fraction
@@ -759,6 +761,35 @@ class TestContexts:
             with pytest.raises(AttributeError):
                 ctx.count = 4
             assert ctx.count == 3
+
+    def test_count_cannot_be_deleted(self):
+        for ctx in (MiwaContext(3), AlphabetContext(3)):
+            with pytest.raises(AttributeError):
+                del ctx.count
+            assert ctx.count == 3
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        for ctx in (MiwaContext(3), AlphabetContext(2)):
+            back = pickle.loads(pickle.dumps(ctx, protocol))
+            assert type(back) is type(ctx)
+            assert back == ctx and hash(back) == hash(ctx)
+
+    def test_copy_and_deepcopy(self):
+        for ctx in (MiwaContext(3), AlphabetContext(2)):
+            for twin in (copy.copy(ctx), copy.deepcopy(ctx)):
+                assert type(twin) is type(ctx) and twin == ctx
+
+    def test_not_equal_to_a_tuple(self):
+        assert (AlphabetContext(3) == (3,)) is False
+        assert AlphabetContext(3) != (3,)
+
+    def test_match_binds_count(self):
+        match AlphabetContext(3):
+            case MiwaContext(n):
+                pytest.fail(f"matched MiwaContext({n})")
+            case AlphabetContext(n):
+                assert n == 3
 
 
 def assert_canonical_terms(p):
