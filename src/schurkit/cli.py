@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
@@ -20,7 +19,6 @@ from .characters import character
 from .partitions import ConjugacyClass, YoungDiagram, partitions_of
 from .polyalgebra import canonical_text, to_term_list
 from .symfun import AlphabetContext, elementary, hall_littlewood, homogeneous, monomial, schur
-from .verify import MAX_BOXES_LIMIT, SCOPES, run_scope
 
 BENCH_MAX_PARTITIONS = 80
 BENCH_MAX_ALPHABET = 8
@@ -67,6 +65,8 @@ def parse_cycles(text: str) -> ConjugacyClass:
 def build_parser() -> _Parser:
     """The whole argument tree, built once per process: parsing leaves it
     unchanged, so every ``run`` shares it."""
+    from .verify import MAX_BOXES_LIMIT, SCOPES
+
     parser = _Parser(prog="schurkit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -120,9 +120,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+def run_scope(scope: str, max_boxes: int) -> list[tuple[str, bool, int]]:
+    """``verify.run_scope``, imported on first use rather than with this
+    module."""
+    from . import verify
+
+    return verify.run_scope(scope, max_boxes)
+
+
 def _emit_polynomial(args, lam, mu, poly) -> str:
     if not args.json:
         return canonical_text(poly)
+    import json
+
     return json.dumps(
         {
             "family": args.command,

@@ -20,7 +20,6 @@ coefficient and hands its canonical terms to ``Polynomial._raw``, not
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, groupby, product
@@ -43,15 +42,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class _Context:
-    """count variables of one kind, made by the subclass's ``_var``."""
+    """count variables of one kind, made by the subclass's ``_var``.
 
-    count: int
+    An immutable value: equal, with equal hashes, only to a context of the
+    same kind and count; it pickles, copies and matches on ``count``."""
 
-    def __post_init__(self):
-        if type(self.count) is not int or self.count < 1:
+    __slots__ = ("count",)
+    __match_args__ = ("count",)
+
+    def __init__(self, count: int):
+        if type(count) is not int or count < 1:
             raise ValueError("count must be positive")
+        object.__setattr__(self, "count", count)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.count == other.count
+
+    def __hash__(self):
+        return hash((self.count,))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(count={self.count!r})"
+
+    def __reduce__(self):
+        return type(self), (self.count,)
 
     def variables(self) -> tuple[Variable, ...]:
         return tuple(self._var(i) for i in range(1, self.count + 1))
@@ -59,11 +82,13 @@ class _Context:
 
 class MiwaContext(_Context):
     """Provides the power-sum variables t1..t_count."""
+    __slots__ = ()
     _var = staticmethod(t_var)
 
 
 class AlphabetContext(_Context):
     """Provides the alphabet variables x1..x_count."""
+    __slots__ = ()
     _var = staticmethod(x_var)
 
 

@@ -1,6 +1,27 @@
+import os
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+# A test run leaves no bytecode in the source tree: a later process, such as a
+# benchmark timing the import, would read those files instead of compiling.
+# Set before this process first imports schurkit.
+sys.dont_write_bytecode = True
+
+import schurkit  # noqa: E402
+
+# A child `python` process imports the same package as this process, also when
+# only pytest's `pythonpath` setting puts it on the path, and writes no
+# bytecode either.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(schurkit.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")
+    ])),
+    "PYTHONDONTWRITEBYTECODE": "1",
+}
 
 
 def refuse_fraction_arithmetic(monkeypatch):

@@ -1,24 +1,14 @@
 import json
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import schurkit
-from schurkit import canonical_text, from_term_list
+from schurkit import canonical_text, from_term_list, verify
 from schurkit.cli import build_parser, main, run
 
-# A child `python -m schurkit.cli` imports the same package as this process,
-# also when only pytest's `pythonpath` setting puts it on the path.
-CHILD_ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(filter(None, [
-        str(Path(schurkit.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")
-    ])),
-}
+from conftest import CHILD_ENV
 
 S321 = "t1**6/45 - t1**3*t3/3 + t1*t5 - t3**2"
 M321 = (
@@ -160,13 +150,13 @@ class TestVerifyCommand:
 
     def test_wrong_character_fails(self, monkeypatch):
         """The orthogonality sweep catches one flipped table entry."""
-        real = schurkit.verify._character
+        real = verify._character
 
         def flipped(parts, cycles):
             value = real(parts, cycles)
             return -value if (parts, cycles) == ((2, 1), (1, 1, 1)) else value
 
-        monkeypatch.setattr(schurkit.verify, "_character", flipped)
+        monkeypatch.setattr(verify, "_character", flipped)
         assert run(["verify", "characters", "--max-boxes", "3"]) == (3, "characters: FAIL (36 cases)")
 
     def test_failure_exits_three(self, monkeypatch):

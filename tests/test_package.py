@@ -1,8 +1,13 @@
 """The package's public surface: which names it exports and where they live,
-and the caches its modules keep."""
+the modules its import loads, and the caches its modules keep."""
+
+import subprocess
+import sys
 
 import schurkit
 from schurkit import YoungDiagram, canonical_text, characters, cli, partitions, polyalgebra, symfun
+
+from conftest import CHILD_ENV
 
 PUBLIC_NAMES = [
     "AlphabetContext",
@@ -54,6 +59,29 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from schurkit import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == PUBLIC_NAMES
+
+
+# Loaded on first use, not by `import schurkit.cli`: every CLI call starts a
+# fresh process that pays for what the import loads.
+FIRST_USE_MODULES = ("dataclasses", "inspect", "json", "schurkit.verify")
+
+IMPORT_GUARD = f"""
+import sys
+before = set(sys.modules)
+import schurkit.cli
+print(sorted((set(sys.modules) - before) & set({FIRST_USE_MODULES!r})))
+status, _ = schurkit.cli.run(["verify", "characters", "--max-boxes", "3"])
+print(status, "schurkit.verify" in sys.modules)
+"""
+
+
+def test_cli_import_defers_first_use_modules():
+    """New modules only, diffed against what the interpreter had already
+    loaded: a site hook may preload some standard modules."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD],
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n0 True\n"
 
 
 MODULE_CACHES = [
