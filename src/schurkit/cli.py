@@ -65,8 +65,6 @@ def parse_cycles(text: str) -> ConjugacyClass:
 def build_parser() -> _Parser:
     """The whole argument tree, built once per process: parsing leaves it
     unchanged, so every ``run`` shares it."""
-    from .verify import MAX_BOXES_LIMIT, SCOPES
-
     parser = _Parser(prog="schurkit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -107,10 +105,12 @@ def build_parser() -> _Parser:
     p.add_argument("parts")
     p.add_argument("--cycles", required=True, metavar="SPEC")
 
+    # verify.SCOPES and verify.MAX_BOXES_LIMIT, spelt out so that parsing
+    # does not load verify; tests/test_cli.py checks that they agree.
     p = sub.add_parser("verify", help="run the invariant sweeps")
-    p.add_argument("scope", choices=sorted(SCOPES))
+    p.add_argument("scope", choices=("all", "characters", "degenerations", "oracles"))
     p.add_argument("--max-boxes", type=int, default=4, dest="max_boxes",
-                   help=f"box bound for the sweeps, at most {MAX_BOXES_LIMIT} (default 4)")
+                   help="box bound for the sweeps, at most 8 (default 4)")
 
     p = sub.add_parser("bench", help="time partition enumeration, a Hall-Littlewood build "
                        "or a staircase Schur polynomial")

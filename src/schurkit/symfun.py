@@ -48,7 +48,7 @@ class _Context:
     An immutable value: equal, with equal hashes, only to a context of the
     same kind and count; it pickles, copies and matches on ``count``."""
 
-    __slots__ = ("count",)
+    __slots__ = ("count", "__weakref__")
     __match_args__ = ("count",)
 
     def __init__(self, count: int):

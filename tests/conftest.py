@@ -10,18 +10,21 @@ import pytest
 # Set before this process first imports schurkit.
 sys.dont_write_bytecode = True
 
-import schurkit  # noqa: E402
 
-# A child `python` process imports the same package as this process, also when
-# only pytest's `pythonpath` setting puts it on the path, and writes no
-# bytecode either.
-CHILD_ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(filter(None, [
-        str(Path(schurkit.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")
-    ])),
-    "PYTHONDONTWRITEBYTECODE": "1",
-}
+@pytest.fixture(scope="session")
+def child_env():
+    """The environment of a child `python` process: it imports the same
+    package as this process, also when only pytest's `pythonpath` setting puts
+    it on the path, and writes no bytecode either."""
+    import schurkit
+
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(schurkit.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")
+        ])),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
 
 
 def refuse_fraction_arithmetic(monkeypatch):

@@ -8,8 +8,6 @@ import pytest
 from schurkit import canonical_text, from_term_list, verify
 from schurkit.cli import build_parser, main, run
 
-from conftest import CHILD_ENV
-
 S321 = "t1**6/45 - t1**3*t3/3 + t1*t5 - t3**2"
 M321 = (
     "x1**3*x2**2*x3 + x1**3*x2*x3**2 + x1**2*x2**3*x3 + x1**2*x2*x3**3"
@@ -165,6 +163,19 @@ class TestVerifyCommand:
         )
         assert run(["verify", "oracles"]) == (3, "oracles: FAIL (7 cases)")
 
+    def test_parser_agrees_with_verify(self):
+        """The parser spells out verify's scopes and box bound, so that
+        parsing does not load verify; they stay the same as verify's own."""
+        verify_parser = next(
+            a for a in build_parser()._actions if a.dest == "command"
+        ).choices["verify"]
+        scope, max_boxes = (
+            next(a for a in verify_parser._actions if a.dest == dest)
+            for dest in ("scope", "max_boxes")
+        )
+        assert sorted(scope.choices) == sorted(verify.SCOPES)
+        assert f"at most {verify.MAX_BOXES_LIMIT} " in max_boxes.help
+
     def test_max_boxes_bound(self, capsys):
         status, text = run(["verify", "all", "--max-boxes", "99"])
         assert (status, text) == (2, "")
@@ -284,7 +295,7 @@ class TestErrorPaths:
         assert run(["homogeneous", "3"]) == (2, "")
         assert capsys.readouterr().err == "schurkit: out of memory\n"
 
-    def test_out_of_memory_in_a_process(self):
+    def test_out_of_memory_in_a_process(self, child_env):
         """Under a 1.5 GB address-space limit, listing the partitions of
         5 * 10^9 runs out of memory and ends in one stderr line."""
         resource = pytest.importorskip("resource")
@@ -293,7 +304,7 @@ class TestErrorPaths:
             [sys.executable, "-m", "schurkit.cli", "list", "5000000000"],
             capture_output=True,
             text=True,
-            env=CHILD_ENV,
+            env=child_env,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
             timeout=60,
         )
@@ -337,12 +348,12 @@ class TestLongInputs:
     def test_eleven_hundred_letters(self):
         assert run(["hall-littlewood", "", "--vars", "1100"]) == (0, "1")
 
-    def test_thousand_fixed_points_in_a_process(self):
+    def test_thousand_fixed_points_in_a_process(self, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "schurkit.cli", "character", "1000", "--cycles", "1:1000"],
             capture_output=True,
             text=True,
-            env=CHILD_ENV,
+            env=child_env,
         )
         assert proc.returncode == 0
         assert proc.stdout == "1\n"
@@ -354,36 +365,36 @@ class TestMainAndProcess:
         assert main(["draw", "2,1"]) == 0
         assert capsys.readouterr().out == "#\n# #\n"
 
-    def test_module_invocation(self):
+    def test_module_invocation(self, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "schurkit.cli", "schur", "3,2,1"],
             capture_output=True,
             text=True,
-            env=CHILD_ENV,
+            env=child_env,
         )
         assert proc.returncode == 0
         assert proc.stdout == S321 + "\n"
         assert proc.stderr == ""
 
-    def test_module_invocation_error(self):
+    def test_module_invocation_error(self, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "schurkit.cli", "schur", "1,2,3"],
             capture_output=True,
             text=True,
-            env=CHILD_ENV,
+            env=child_env,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("schurkit: ")
 
-    def test_closed_stdout_is_quiet(self):
+    def test_closed_stdout_is_quiet(self, child_env):
         """A reader that leaves after one line, as `| head -1` does, gets
         the command's own status and no traceback on stderr."""
         proc = subprocess.Popen(
             [sys.executable, "-m", "schurkit.cli", "list", "40"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=CHILD_ENV,
+            env=child_env,
         )
         assert proc.stdout.readline() == b"1," * 39 + b"1\n"
         proc.stdout.close()
@@ -391,7 +402,7 @@ class TestMainAndProcess:
         assert proc.stderr.read() == b""
         proc.stderr.close()
 
-    def test_shared_parser_matches_fresh_processes(self, capsys):
+    def test_shared_parser_matches_fresh_processes(self, capsys, child_env):
         """run() reuses one parser; a sequence of calls in one process prints
         what each call prints in a process of its own, so no default, value
         or error carries over from one call to the next."""
@@ -408,7 +419,7 @@ class TestMainAndProcess:
                 [sys.executable, "-m", "schurkit.cli", *argv],
                 capture_output=True,
                 text=True,
-                env=CHILD_ENV,
+                env=child_env,
             )
             assert (status, output + "\n" if output else "") == (proc.returncode, proc.stdout), argv
             assert err == proc.stderr and err.count("\n") <= 1, argv

@@ -7,8 +7,6 @@ import sys
 import schurkit
 from schurkit import YoungDiagram, canonical_text, characters, cli, partitions, polyalgebra, symfun
 
-from conftest import CHILD_ENV
-
 PUBLIC_NAMES = [
     "AlphabetContext",
     "ConjugacyClass",
@@ -70,18 +68,21 @@ import sys
 before = set(sys.modules)
 import schurkit.cli
 print(sorted((set(sys.modules) - before) & set({FIRST_USE_MODULES!r})))
+status, _ = schurkit.cli.run(["schur", "3,2,1"])
+print(status, "schurkit.verify" in sys.modules)
 status, _ = schurkit.cli.run(["verify", "characters", "--max-boxes", "3"])
 print(status, "schurkit.verify" in sys.modules)
 """
 
 
-def test_cli_import_defers_first_use_modules():
+def test_cli_import_defers_first_use_modules(child_env):
     """New modules only, diffed against what the interpreter had already
-    loaded: a site hook may preload some standard modules."""
+    loaded: a site hook may preload some standard modules.  A command other
+    than `verify` leaves verify unloaded too."""
     proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD],
-                          capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+                          capture_output=True, text=True, env=child_env, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "[]\n0 True\n"
+    assert proc.stdout == "[]\n0 False\n0 True\n"
 
 
 MODULE_CACHES = [

@@ -5,6 +5,7 @@ import json
 import pickle
 import threading
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -779,6 +780,10 @@ class TestContexts:
         for ctx in (MiwaContext(3), AlphabetContext(2)):
             for twin in (copy.copy(ctx), copy.deepcopy(ctx)):
                 assert type(twin) is type(ctx) and twin == ctx
+
+    def test_weak_reference(self):
+        ctx = AlphabetContext(3)
+        assert weakref.ref(ctx)() is ctx
 
     def test_not_equal_to_a_tuple(self):
         assert (AlphabetContext(3) == (3,)) is False
