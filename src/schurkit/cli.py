@@ -57,6 +57,8 @@ def parse_cycles(text: str) -> ConjugacyClass:
                 j, k = int(size), int(count)
             except ValueError:
                 raise UsageError(f"malformed cycle spec {chunk!r}") from None
+            if k < 0:  # checked per chunk: the sum over a repeated size could hide it
+                raise ValueError(f"multiplicities must be nonnegative integers, got {k}")
             mult[j] = mult.get(j, 0) + k
     return ConjugacyClass(mult)
 
@@ -120,14 +122,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def run_scope(scope: str, max_boxes: int) -> list[tuple[str, bool, int]]:
-    """``verify.run_scope``, imported on first use rather than with this
-    module."""
-    from . import verify
-
-    return verify.run_scope(scope, max_boxes)
-
-
 def _emit_polynomial(args, lam, mu, poly) -> str:
     if not args.json:
         return canonical_text(poly)
@@ -149,11 +143,6 @@ def run(argv: list[str]) -> tuple[int, str]:
     """Execute one command; returns (exit status, stdout text)."""
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"schurkit: {exc}", file=sys.stderr)
-        return 1, ""
-
-    try:
         if args.command == "partition":
             d = parse_parts(args.parts)
             fr = d.frobenius()
@@ -204,6 +193,7 @@ def run(argv: list[str]) -> tuple[int, str]:
             return 0, str(character(shape, cycles))
 
         if args.command == "verify":
+            from .verify import run_scope  # verify loads here, not with this module
             results = run_scope(args.scope, args.max_boxes)
             lines = [
                 f"{name}: {'pass' if passed else 'FAIL'} ({cases} cases)"

@@ -127,6 +127,8 @@ class TestPartitionCommands:
     def test_character(self):
         assert run(["character", "1,1", "--cycles", "2:1"]) == (0, "-1")
         assert run(["character", "2,1", "--cycles", "1:3"]) == (0, "2")
+        # Counts of a repeated size add up.
+        assert run(["character", "2,1", "--cycles", "1:1,1:2"]) == (0, "2")
 
 
 class TestVerifyCommand:
@@ -157,11 +159,42 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "_character", flipped)
         assert run(["verify", "characters", "--max-boxes", "3"]) == (3, "characters: FAIL (36 cases)")
 
+    @pytest.mark.parametrize("name", ["schur", "monomial"])
+    def test_wrong_degeneration_fails(self, name, monkeypatch):
+        """The degeneration sweep catches one shape's Q=0 side (Schur) or
+        Q=1 side (monomial) gone wrong."""
+        real = getattr(verify, name)
+
+        def perturbed(lam, *rest):
+            value = real(lam, *rest)
+            return value + 1 if lam.parts == (2, 1) else value
+
+        monkeypatch.setattr(verify, name, perturbed)
+        assert run(["verify", "degenerations", "--max-boxes", "3"]) == (
+            3, "degenerations: FAIL (14 cases)"
+        )
+
+    def test_wrong_oracle_fails(self, monkeypatch):
+        """The oracle sweep catches one shape where the two Schur routes part."""
+        real = verify.schur_via_characters
+
+        def perturbed(lam):
+            value = real(lam)
+            return value + 1 if lam.parts == (2, 1) else value
+
+        monkeypatch.setattr(verify, "schur_via_characters", perturbed)
+        assert run(["verify", "oracles", "--max-boxes", "3"]) == (3, "oracles: FAIL (7 cases)")
+
     def test_failure_exits_three(self, monkeypatch):
         monkeypatch.setattr(
-            "schurkit.cli.run_scope", lambda scope, max_boxes: [("oracles", False, 7)]
+            "schurkit.verify.run_scope", lambda scope, max_boxes: [("oracles", False, 7)]
         )
         assert run(["verify", "oracles"]) == (3, "oracles: FAIL (7 cases)")
+
+    def test_unknown_scope_rejected(self):
+        """The parser only passes known scopes; run_scope refuses others itself."""
+        with pytest.raises(ValueError, match="unknown scope 'bogus'"):
+            verify.run_scope("bogus", 4)
 
     def test_parser_agrees_with_verify(self):
         """The parser spells out verify's scopes and box bound, so that
@@ -243,6 +276,7 @@ class TestErrorPaths:
             ["draw", "2000000000"],
             ["partition", "2000000000"],
             ["character", "99999999999", "--cycles", "99999999999:1"],
+            ["character", "2", "--cycles", "1:5,1:-3"],
         ],
     )
     def test_domain_errors_exit_two(self, argv, capsys):
@@ -266,6 +300,14 @@ class TestErrorPaths:
         assert run(argv) == (2, "")
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err == "schurkit: shape must have at most 1000000 boxes\n"
+
+    @pytest.mark.parametrize("cycles", ["1:-1", "1:5,1:-1", "1:-1,1:5"])
+    def test_negative_count_message(self, cycles, capsys):
+        """Each count is checked, not only the sum over its size."""
+        assert run(["character", "2", "--cycles", cycles]) == (2, "")
+        assert capsys.readouterr().err == (
+            "schurkit: multiplicities must be nonnegative integers, got -1\n"
+        )
 
     @pytest.mark.parametrize("command", ["list", "homogeneous", "elementary"])
     def test_negative_degree_message(self, command, capsys):

@@ -50,6 +50,9 @@ class TestConstruction:
         assert hash(YoungDiagram((2, 1))) == hash(YoungDiagram((2, 1)))
         assert YoungDiagram((2, 1)) != YoungDiagram((3,))
 
+    def test_repr(self):
+        assert repr(YoungDiagram((2, 1))) == "YoungDiagram((2, 1))"
+
 
 class TestProfile:
     def test_staircase(self):
@@ -86,6 +89,11 @@ class TestConjugacyClass:
 
     def test_zero_counts_dropped(self):
         assert ConjugacyClass({3: 0, 1: 2}).multiplicities == {1: 2}
+
+    def test_repr_and_hash(self):
+        assert repr(ConjugacyClass({2: 1, 1: 3})) == "ConjugacyClass({1: 3, 2: 1})"
+        assert hash(ConjugacyClass({3: 0, 1: 2})) == hash(ConjugacyClass({1: 2}))
+        assert len({ConjugacyClass({1: 2}), ConjugacyClass({1: 2}), ConjugacyClass({2: 1})}) == 2
 
 
 class TestTranspose:

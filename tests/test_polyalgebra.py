@@ -83,6 +83,7 @@ class TestRingAxioms:
         assert -(-a) == a
         assert a * 2 == a + a
         assert a * Fraction(1, 2) + a * Fraction(1, 2) == a
+        assert 1 - a == -(a - 1)
 
     @given(polynomials(), st.integers(0, 4))
     def test_power_is_repeated_product(self, a, n):
@@ -119,6 +120,14 @@ class TestVariable:
     def test_rejects_non_int_index(self, index):
         with pytest.raises(ValueError):
             Variable("t", index)
+
+    @pytest.mark.parametrize("kind, index, message", [
+        ("y", 1, "unknown variable kind 'y'"),
+        ("Q", 1, "Q carries no index"),
+    ])
+    def test_rejects_bad_kind_or_index(self, kind, index, message):
+        with pytest.raises(ValueError, match=message):
+            Variable(kind, index)
 
     def test_replace_validates(self):
         assert t_var(1)._replace(index=4) == t_var(4)
@@ -190,6 +199,17 @@ class TestEquality:
     def test_hashable(self):
         assert len({T1 + T2, T2 + T1, T1}) == 2
 
+    def test_zero_and_constant_queries(self):
+        assert Polynomial.zero().is_zero() and not T1.is_zero()
+        assert (T1 + 3).constant_value() == 3
+        assert T1.constant_value() == 0
+
+    @pytest.mark.parametrize("op", ["__eq__", "__add__", "__sub__", "__mul__"])
+    def test_foreign_operand_is_not_implemented(self, op):
+        """A foreign type is left to its own reflected method."""
+        assert getattr(T1, op)(1.5) is NotImplemented
+        assert getattr(T1, op)("t1") is NotImplemented
+
 
 class TestCanonicalText:
     @settings(max_examples=150, deadline=None)
@@ -228,6 +248,7 @@ class TestCanonicalText:
     def test_str_matches(self):
         p = T1 * T2 - X3
         assert str(p) == canonical_text(p)
+        assert repr(p) == f"Polynomial<{canonical_text(p)}>"
 
     @given(polynomials(), polynomials())
     def test_text_separates_unequal_polynomials(self, a, b):
@@ -298,6 +319,10 @@ class TestExactDivision:
 class TestDeterminant:
     def test_empty_is_one(self):
         assert determinant([]) == Polynomial.one()
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            determinant([[T1, T2]])
 
     def test_two_by_two(self):
         rows = [[T1, T2], [X1, X2]]

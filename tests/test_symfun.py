@@ -35,7 +35,6 @@ from schurkit import (
 )
 from schurkit.verify import _at_q_zero_and_one, check_degenerations
 
-from conftest import refuse_fraction_arithmetic
 from oracles import dp_partition_counts, hall_littlewood_numerator, naive_partitions
 
 T = {i: Polynomial.variable(t_var(i)) for i in range(1, 11)}
@@ -83,7 +82,7 @@ def refuse_generic_arithmetic(*args):
     raise AssertionError("generic polynomial arithmetic was called")
 
 
-def build_refusing_arithmetic(cases):
+def build_refusing_arithmetic(cases, refuse_fraction_arithmetic):
     """{key: (poly, digests, refused)} for (key, thunk) pairs, each built once
     with h and e rebuilt and with Fraction arithmetic and substitute, products
     and powers of Polynomials refused.  A case that reaches one of them is
@@ -110,12 +109,13 @@ def build_refusing_arithmetic(cases):
 
 
 @pytest.fixture(scope="module")
-def golden_builds():
+def golden_builds(refuse_fraction_arithmetic):
     """Every MIWA_GOLDEN case and every HL_GOLDEN case, built once for all
     the tests that judge them."""
     hl_keys = json.loads(HL_GOLDEN.read_text())["cases"]
     hl = ((key, lambda key=key: hl_golden_build(key)) for key in hl_keys)
-    return build_refusing_arithmetic(miwa_golden_cases()), build_refusing_arithmetic(hl)
+    return (build_refusing_arithmetic(miwa_golden_cases(), refuse_fraction_arithmetic),
+            build_refusing_arithmetic(hl, refuse_fraction_arithmetic))
 
 
 def parts_key(lam):
