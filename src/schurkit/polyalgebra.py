@@ -12,12 +12,16 @@ terms given in any order, and ``from_term_list``, which accepts only the
 canonical wire form.  Arithmetic here and the kernels in ``symfun`` emit
 canonical terms (ascending variables, positive int exponents, nonzero
 Fraction coefficients) and build through the private ``Polynomial._raw``.
+Every sum of terms, in the two doors and in the ring operations alike, lands
+in ``_summed``: equal monomials add up and a sum that reaches zero drops out.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import cache
+from itertools import chain
 from collections.abc import Mapping
 from typing import NamedTuple
 
@@ -125,6 +129,21 @@ def _mono_div(num: Monomial, den: Monomial) -> Monomial | None:
     return tuple(sorted(exps.items()))
 
 
+def _summed(pairs) -> dict[Monomial, Fraction]:
+    """The terms of canonical (monomial, nonzero Fraction) pairs: equal
+    monomials add up, and a sum that reaches zero is deleted."""
+    out: dict[Monomial, Fraction] = {}
+    get = out.get
+    for mono, c in pairs:
+        old = get(mono)
+        s = c if old is None else old + c
+        if s:
+            out[mono] = s
+        else:
+            del out[mono]
+    return out
+
+
 class ExactDivisionError(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
 
@@ -139,27 +158,20 @@ class Polynomial:
         may come in any order and zero exponents drop out; a repeated variable,
         a non-Variable key, a negative or non-int exponent, or a coefficient
         whose type is not exactly int or Fraction (a bool, say) raises ValueError."""
-        clean: dict[Monomial, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            for v, e in mono:
-                if type(v) is not Variable or type(e) is not int or e < 0:
-                    raise ValueError(f"monomial factor ({v!r}, {e!r}) needs a Variable "
-                                     "and a nonnegative int exponent")
-            if len(dict(mono)) != len(mono):
-                raise ValueError(f"a variable is repeated in the monomial {mono!r}")
-            mono = tuple(sorted([ve for ve in mono if ve[1]]))
-            if type(coeff) not in (int, Fraction):
-                raise ValueError(f"coefficient {coeff!r} must be an int or a Fraction")
-            c = coeff if type(coeff) is Fraction else Fraction(coeff)
-            if not c:
-                continue
-            old = clean.get(mono)
-            s = c if old is None else old + c
-            if s:
-                clean[mono] = s
-            else:
-                del clean[mono]
-        object.__setattr__(self, "_terms", clean)
+        def checked():
+            for mono, coeff in (terms or {}).items():
+                for v, e in mono:
+                    if type(v) is not Variable or type(e) is not int or e < 0:
+                        raise ValueError(f"monomial factor ({v!r}, {e!r}) needs a Variable "
+                                         "and a nonnegative int exponent")
+                if len(dict(mono)) != len(mono):
+                    raise ValueError(f"a variable is repeated in the monomial {mono!r}")
+                if type(coeff) not in (int, Fraction):
+                    raise ValueError(f"coefficient {coeff!r} must be an int or a Fraction")
+                if coeff:
+                    yield (tuple(sorted([ve for ve in mono if ve[1]])),
+                           coeff if type(coeff) is Fraction else Fraction(coeff))
+        object.__setattr__(self, "_terms", _summed(checked()))
 
     # -- constructors -----------------------------------------------------
 
@@ -215,14 +227,7 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, c in o._terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return Polynomial._raw(out)
+        return Polynomial._raw(_summed(chain(self._terms.items(), o._terms.items())))
 
     __radd__ = __add__
 
@@ -249,16 +254,9 @@ class Polynomial:
             return Polynomial.zero()
         # multiply via the smaller operand's terms on the outside
         a, b = (self, o) if len(self._terms) <= len(o._terms) else (o, self)
-        out: dict[Monomial, Fraction] = {}
-        for mono_a, ca in a._terms.items():
-            for mono_b, cb in b._terms.items():
-                mono = _mono_mul(mono_a, mono_b)
-                s = out.get(mono, 0) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return Polynomial._raw(out)
+        return Polynomial._raw(_summed((_mono_mul(mono_a, mono_b), ca * cb)
+                                       for mono_a, ca in a._terms.items()
+                                       for mono_b, cb in b._terms.items()))
 
     __rmul__ = __mul__
 
@@ -290,26 +288,16 @@ class Polynomial:
         """Simultaneous substitution; unbound variables pass through."""
         if not bindings:
             return self
-        power_cache: dict[tuple[Variable, int], Polynomial] = {}
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
-            passthrough: list[tuple[Variable, int]] = []
-            factors: list[tuple[Variable, int]] = []
-            for v, e in mono:
-                (factors if v in bindings else passthrough).append((v, e))
-            piece = Polynomial._raw({tuple(passthrough): coeff})
-            for v, e in factors:
-                key = (v, e)
-                if key not in power_cache:
-                    power_cache[key] = bindings[v] ** e
-                piece = piece * power_cache[key]
-            for m, c in piece._terms.items():
-                s = out.get(m, 0) + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Polynomial._raw(out)
+        power = cache(lambda v, e: bindings[v] ** e)
+
+        def pieces():
+            for mono, coeff in self._terms.items():
+                piece = Polynomial._raw({tuple(ve for ve in mono if ve[0] not in bindings): coeff})
+                for v, e in mono:
+                    if v in bindings:
+                        piece = piece * power(v, e)
+                yield from piece._terms.items()
+        return Polynomial._raw(_summed(pieces()))
 
     # -- comparison / hashing ---------------------------------------------
 
@@ -415,18 +403,15 @@ def exact_divide(num: Polynomial, den: Polynomial) -> Polynomial:
         if q_mono is None:
             body = _term_body(mono, coeff, {v: v.name for v, _ in mono})
             raise ExactDivisionError(f"leading term {body} is not divisible")
-        q_coeff = coeff / lead_coeff
-        quotient[q_mono] = quotient.get(q_mono, Fraction(0)) + q_coeff
+        # Popped monomials strictly descend, so each quotient monomial is new.
+        quotient[q_mono] = q_coeff = coeff / lead_coeff
         for t_mono, t_coeff in tail:
             m = _mono_mul(q_mono, t_mono)
-            s = remainder.get(m, 0) - q_coeff * t_coeff
-            if s:
-                if m not in remainder:
-                    heapq.heappush(heap, (_mono_key(m), m))
-                remainder[m] = s
-            else:
-                remainder.pop(m, None)
-    return Polynomial._raw({m: c for m, c in quotient.items() if c})
+            if m not in remainder:
+                heapq.heappush(heap, (_mono_key(m), m))
+            # A sum that cancels stays here at zero; the pop that reaches it skips it.
+            remainder[m] = remainder.get(m, 0) - q_coeff * t_coeff
+    return Polynomial._raw(quotient)
 
 
 def determinant(rows: list[list[Polynomial]]) -> Polynomial:
@@ -438,23 +423,18 @@ def determinant(rows: list[list[Polynomial]]) -> Polynomial:
     if n == 0:
         return Polynomial.one()
 
-    cache: dict[tuple[int, ...], Polynomial] = {}
+    minors: dict[tuple[int, ...], Polynomial] = {}
 
     def minor(cols: tuple[int, ...]) -> Polynomial:
         if len(cols) == 1:
             return rows[n - 1][cols[0]]
-        if cols in cache:
-            return cache[cols]
+        if cols in minors:
+            return minors[cols]
         i = n - len(cols)
-        acc: dict[Monomial, Fraction] = {}
-        for pos, j in enumerate(cols):
-            entry = rows[i][j]
-            if not entry:
-                continue
-            piece = entry * minor(cols[:pos] + cols[pos + 1:])
-            for mono, c in piece._terms.items():
-                acc[mono] = acc.get(mono, 0) + (-c if pos % 2 else c)
-        cache[cols] = out = Polynomial._raw({mono: c for mono, c in acc.items() if c})
+        pieces = ((-rows[i][j] if pos % 2 else rows[i][j]) * minor(cols[:pos] + cols[pos + 1:])
+                  for pos, j in enumerate(cols) if rows[i][j])
+        minors[cols] = out = Polynomial._raw(_summed(chain.from_iterable(
+            piece._terms.items() for piece in pieces)))
         return out
 
     return minor(tuple(range(n)))
@@ -507,28 +487,23 @@ def from_term_list(data: list[dict]) -> Polynomial:
     # (name, exponent) -> (Variable, exponent): each name is parsed once, and
     # equal factors share one pair.
     factor_of: dict[tuple[str, int], tuple[Variable, int]] = {}
-    terms: dict[Monomial, Fraction] = {}
-    for entry in data:
-        if not (isinstance(entry, dict) and type(entry.get("coeff")) is str
-                and isinstance(entry.get("monomial"), dict)):
-            raise ValueError(f"malformed term {entry!r}: needs a string coeff and a monomial")
-        coeff = _parse_coeff(entry["coeff"])
-        factors = []
-        for item in entry["monomial"].items():
-            name, e = item
-            if type(e) is not int or e < 1:  # before the lookup, where True == 1
-                raise ValueError(f"exponent {e!r} of {name!r} is not an int >= 1")
-            factor = factor_of.get(item)
-            if factor is None:
-                factor = factor_of[item] = (_parse_variable(name), e)
-            factors.append(factor)
-        # Distinct canonical names are distinct variables, so sorting is all
-        # that is left to make the monomial canonical.
-        mono = tuple(sorted(factors))
-        old = terms.get(mono)
-        s = coeff if old is None else old + coeff
-        if s:
-            terms[mono] = s
-        else:
-            del terms[mono]
-    return Polynomial._raw(terms)
+
+    def parsed():
+        for entry in data:
+            if not (isinstance(entry, dict) and type(entry.get("coeff")) is str
+                    and isinstance(entry.get("monomial"), dict)):
+                raise ValueError(f"malformed term {entry!r}: needs a string coeff and a monomial")
+            coeff = _parse_coeff(entry["coeff"])
+            factors = []
+            for item in entry["monomial"].items():
+                name, e = item
+                if type(e) is not int or e < 1:  # before the lookup, where True == 1
+                    raise ValueError(f"exponent {e!r} of {name!r} is not an int >= 1")
+                factor = factor_of.get(item)
+                if factor is None:
+                    factor = factor_of[item] = (_parse_variable(name), e)
+                factors.append(factor)
+            # Distinct canonical names are distinct variables, so sorting is
+            # all that is left to make the monomial canonical.
+            yield tuple(sorted(factors)), coeff
+    return Polynomial._raw(_summed(parsed()))

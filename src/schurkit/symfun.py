@@ -355,7 +355,7 @@ def miwa_push(p: Polynomial, alphabet: AlphabetContext) -> Polynomial:
     letter with ``_peel``; ``Polynomial.substitute`` is the independent route."""
     bad = [v for v in p.variables() if v.kind != "t"]
     if bad:
-        raise ValueError(f"polynomial must use only t-variables, found {bad[0].name}")
+        raise ValueError(f"polynomial must use only t-variables, found {min(bad).name}")
 
     def step(mono, k):
         # By t_j = t_j(x1..x_{k-1}) + xk^j / j, xk takes b_j of t_j's e_j factors

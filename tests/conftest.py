@@ -47,3 +47,22 @@ def refuse_fraction_arithmetic():
 @pytest.fixture
 def no_fraction_arithmetic(monkeypatch, refuse_fraction_arithmetic):
     refuse_fraction_arithmetic(monkeypatch)
+
+
+@pytest.fixture(scope="session")
+def assert_canonical_terms():
+    """A check of what kernels and ring operations promise when they build
+    through Polynomial._raw and skip Polynomial(...)'s checks: each
+    coefficient a nonzero Fraction, each monomial's variables strictly
+    ascending with int exponents >= 1."""
+    from schurkit import Polynomial, Variable
+
+    def check(p):
+        terms = p.terms
+        for mono, coeff in terms.items():
+            assert type(coeff) is Fraction and coeff != 0, (mono, coeff)
+            assert all(type(v) is Variable and type(e) is int and e >= 1 for v, e in mono), mono
+            assert all(a < b for (a, _), (b, _) in zip(mono, mono[1:])), mono
+        assert Polynomial(terms) == p
+
+    return check

@@ -3,7 +3,8 @@
 Nothing here may call into schurkit: partition counts come from the classic
 coin-style dynamic program, enumeration from bounded recursion, transposition
 from direct column counting, the Hall-Littlewood numerator from summing over
-every permutation, characters from the Frobenius formula.
+every permutation, characters of straight and skew shapes from the Frobenius
+formula.
 """
 
 from __future__ import annotations
@@ -80,14 +81,20 @@ def hall_littlewood_numerator(parts: tuple[int, ...], n: int) -> dict[tuple[int,
     return {key: c for key, c in total.items() if c}
 
 
-def frobenius_character(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    """chi^lam(mu) as the coefficient of x^(lam+delta) in a_delta * p_mu.
+def frobenius_character(parts: tuple[int, ...], cycles: tuple[int, ...],
+                        inner: tuple[int, ...] = ()) -> int:
+    """chi^(lam/mu)(rho) as the coefficient of x^(lam+delta) in a_(mu+delta) * p_rho.
 
-    Frobenius' formula over m = rows(lam) letters, delta = (m-1, ..., 0):
-    p_mu is expanded one power sum at a time, and a_delta = sum_w sign(w)
-    x^(w delta) contributes the coefficient of x^(lam + delta - w delta).
+    Frobenius' formula over m = rows(lam) letters, delta = (m-1, ..., 0), with
+    mu = inner padded to m rows (empty by default, giving chi^lam): p_rho is
+    expanded one power sum at a time, and a_(mu+delta) = sum_w sign(w)
+    x^(w(mu+delta)) contributes the coefficient of x^(lam + delta - w(mu+delta))
+    (Macdonald I, section 7).  Zero when inner has more rows than lam.
     """
     m = len(parts)
+    if len(inner) > m:
+        return 0
+    inner = tuple(inner) + (0,) * (m - len(inner))
     power_sums = {(0,) * m: 1}
     for r in cycles:
         nxt: dict[tuple[int, ...], int] = {}
@@ -99,7 +106,8 @@ def frobenius_character(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     total = 0
     for perm in permutations(range(m)):
         inversions = sum(perm[a] > perm[b] for a in range(m) for b in range(a + 1, m))
-        # (w delta)_i = m-1-perm[i], so lam + delta - w delta has entry parts[i] - i + perm[i].
-        need = tuple(p - i + perm[i] for i, p in enumerate(parts))
+        # (w(mu+delta))_i = mu[perm[i]] + m-1-perm[i], so lam + delta - w(mu+delta)
+        # has entry parts[i] - i - mu[perm[i]] + perm[i].
+        need = tuple(p - i - inner[perm[i]] + perm[i] for i, p in enumerate(parts))
         total += (-1) ** inversions * power_sums.get(need, 0)
     return total

@@ -380,6 +380,37 @@ class TestDeterminism:
         second = run(["schur", "3,2,1", "--json"])
         assert first == second
 
+    def test_hash_seed_does_not_change_output(self, child_env):
+        """One child process per PYTHONHASHSEED runs every family in text and
+        JSON, the verify sweeps and miwa_push's error on a polynomial with
+        both x1 and Q; all print the same bytes."""
+        argvs = [["partition", "5,3,3,1"], ["draw", "3,2"], ["list", "6"],
+                 ["character", "5,3,1", "--cycles", "2:2,1:5"], ["verify", "all", "--max-boxes", "5"]]
+        for argv in (["homogeneous", "6"], ["elementary", "5"], ["schur", "5,4,2", "--skew", "2,1"],
+                     ["monomial", "3,2,2,1", "--vars", "6"], ["hall-littlewood", "3,2,1", "--vars", "5"]):
+            argvs += [argv, argv + ["--json"]]
+        script = (
+            "import json, sys\n"
+            "from schurkit import AlphabetContext, Polynomial, miwa_push, q_var, t_var, x_var\n"
+            "from schurkit.cli import run\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    print(run(argv))\n"
+            "p = sum(Polynomial.variable(v) for v in (x_var(1), q_var(), t_var(1)))\n"
+            "try:\n"
+            "    miwa_push(p, AlphabetContext(2))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        outputs = {}
+        for seed in ("0", "1", "2"):
+            proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                                  capture_output=True, text=True,
+                                  env={**child_env, "PYTHONHASHSEED": seed})
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            outputs[seed] = proc.stdout
+        assert outputs["0"] == outputs["1"] == outputs["2"]
+        assert outputs["0"].endswith("polynomial must use only t-variables, found Q\n")
+
 
 class TestLongInputs:
     """One cycle or one letter more does not mean one stack frame more."""

@@ -316,6 +316,42 @@ class TestExactDivision:
         assert exact_divide(num, Polynomial.one() - Q) == bracket3
 
 
+class TestCanonicalResults:
+    """Every door and ring operation hands out canonical terms, also when its
+    terms cancel."""
+
+    @settings(deadline=None)
+    @given(polynomials(), polynomials(), polynomials(), st.integers(0, 3))
+    def test_results_are_canonical(self, assert_canonical_terms, a, b, c, n):
+        # x9 and x10 are in no drawn monomial: their zero powers drop out, and
+        # keep a's negated terms and b's terms apart as keys.
+        built = Polynomial({**a.terms,
+                            **{mono + ((x_var(9), 0),): -k for mono, k in a.terms.items()},
+                            **{mono + ((x_var(10), 0),): k for mono, k in b.terms.items()}})
+        negated = [{**term, "coeff": str(-Fraction(term["coeff"]))} for term in to_term_list(a)]
+        decoded = from_term_list(to_term_list(a) + to_term_list(b) + negated)
+        assert built == decoded == b
+        results = [
+            built, decoded, a + b, a + (-a), (a + b) + (-a), a - b, a - a, a * b,
+            (a + b) * (a - b), (a - b) ** n, a ** n,
+            (a * b).substitute({x_var(1): X2 + T1, t_var(2): T1 - X1}),
+            ((X1 - X2) * a).substitute({x_var(1): X2}),
+            determinant([[a, b], [a, b]]), determinant([[a, b], [b, a]]),
+            determinant([[a, b, c], [c, a, b], [b, c, a]]),
+        ]
+        if b:
+            results.append(exact_divide(a * b, b))
+        for p in results:
+            assert_canonical_terms(p)
+
+    def test_division_revisits_a_cancelled_remainder(self, assert_canonical_terms):
+        """A remainder monomial cancels to zero and is produced again later;
+        the heap entry it kept is popped once, with the later sum."""
+        quotient = exact_divide((X1 - X2) * (X1 - X2 + X3) * (X1 + X2 + X3), X1 + X2 + X3)
+        assert quotient == (X1 - X2) * (X1 - X2 + X3)
+        assert_canonical_terms(quotient)
+
+
 class TestDeterminant:
     def test_empty_is_one(self):
         assert determinant([]) == Polynomial.one()

@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -6,7 +7,9 @@ import pickle
 import threading
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,6 @@ from schurkit import (
     AlphabetContext,
     MiwaContext,
     Polynomial,
-    Variable,
     YoungDiagram,
     canonical_text,
     determinant,
@@ -35,7 +37,8 @@ from schurkit import (
 )
 from schurkit.verify import _at_q_zero_and_one, check_degenerations
 
-from oracles import dp_partition_counts, hall_littlewood_numerator, naive_partitions
+from oracles import (dp_partition_counts, frobenius_character, hall_littlewood_numerator,
+                     naive_partitions)
 
 T = {i: Polynomial.variable(t_var(i)) for i in range(1, 11)}
 X = {i: Polynomial.variable(x_var(i)) for i in range(1, 5)}
@@ -76,6 +79,36 @@ def hl_golden_build(key):
 
 # Large outputs frozen beside the |lam| <= 6 grid: 55 408 and 10 077 terms.
 HL_LARGE = ("8|4,3,2,1", "8|3,3,1,1")
+
+
+def contained_pairs(max_boxes):
+    """Every (lam, mu) of part tuples with mu inside lam and 1 <= |lam| <= max_boxes,
+    enumerated by the oracle."""
+    for n in range(1, max_boxes + 1):
+        for lam in sorted(naive_partitions(n)):
+            for size in range(n + 1):
+                for mu in sorted(naive_partitions(size)):
+                    if len(mu) <= len(lam) and all(a <= b for a, b in zip(mu, lam)):
+                        yield lam, mu
+
+
+@functools.cache
+def skew_by_characters(lam, mu):
+    """s_{lam/mu} = sum_rho chi^{lam/mu}(rho) p_rho / z_rho with the Frobenius
+    oracle's skew characters; in the t-coordinates (p_j = j t_j) each
+    p_rho / z_rho is prod_j t_j^{k_j} / k_j!, k_j the number of j-cycles."""
+    terms = {}
+    for rho in naive_partitions(sum(lam) - sum(mu)):
+        k = Counter(rho)
+        mono = tuple((t_var(j), e) for j, e in k.items())
+        terms[mono] = Fraction(frobenius_character(lam, rho, mu), prod(map(factorial, k.values())))
+    return Polynomial(terms)
+
+
+def skew_oracle_mismatches(schur_fn, max_boxes):
+    """The contained pairs up to max_boxes where schur_fn parts from the oracle."""
+    return [(lam, mu) for lam, mu in contained_pairs(max_boxes)
+            if schur_fn(YoungDiagram(lam), YoungDiagram(mu)) != skew_by_characters(lam, mu)]
 
 
 def refuse_generic_arithmetic(*args):
@@ -447,6 +480,20 @@ class TestSkewSchur:
                          else Polynomial.zero() for j in range(m)] for i in range(m)]
                 assert schur(lam, mu) == determinant(rows), (lam.parts, mu.parts)
 
+    def test_matches_skew_character_oracle(self):
+        """Against the Frobenius skew characters, a route that shares no
+        matrix with schur, on all 448 contained pairs of 1 to 7 boxes."""
+        assert sum(1 for _ in contained_pairs(7)) == 448
+        assert skew_oracle_mismatches(schur, 7) == []
+
+    def test_skew_oracle_catches_a_wrong_pair(self):
+        """A schur that answers one pair with s_{lam/mu'} fails the oracle."""
+        def planted(lam, mu):
+            if (lam.parts, mu.parts) == ((4, 2, 1), (2,)):
+                return schur(lam, mu.transpose())
+            return schur(lam, mu)
+        assert skew_oracle_mismatches(planted, 7) == [((4, 2, 1), (2,))]
+
     def test_edge_shapes(self):
         shape = YoungDiagram
         assert schur(shape((24,))) is homogeneous(24)
@@ -713,6 +760,11 @@ class TestMiwaPush:
         with pytest.raises(ValueError):
             miwa_push(Q, AlphabetContext(2))
 
+    def test_error_names_the_least_foreign_variable(self):
+        """Q < t < x, whatever order the set of variables comes in."""
+        with pytest.raises(ValueError, match="found Q$"):
+            miwa_push(X[1] + Q + T[1], AlphabetContext(2))
+
     @settings(max_examples=150, deadline=None)
     @given(t_polynomials())
     def test_matches_substitute_oracle(self, case):
@@ -797,16 +849,6 @@ class TestContexts:
                 assert n == 3
 
 
-def assert_canonical_terms(p):
-    """What kernels promise when they skip Polynomial(...)'s checks."""
-    terms = p.terms
-    for mono, coeff in terms.items():
-        assert type(coeff) is Fraction and coeff != 0, (mono, coeff)
-        assert all(type(v) is Variable and type(e) is int and e >= 1 for v, e in mono), mono
-        assert all(a < b for (a, _), (b, _) in zip(mono, mono[1:])), mono
-    assert Polynomial(terms) == p
-
-
 class TestMiwaGolden:
     def test_matches_frozen_golden(self, golden_builds):
         """Byte digests of h, e, (skew) Schur, miwa_push and monomial, frozen
@@ -817,7 +859,7 @@ class TestMiwaGolden:
         for key, (_, got, _) in built.items():
             assert got == golden[key], key
 
-    def test_kernel_output_is_canonical(self, golden_builds):
+    def test_kernel_output_is_canonical(self, golden_builds, assert_canonical_terms):
         """Every golden case of the kernels that build through Polynomial._raw
         (schur, h, e, schur_via_characters, monomial, hall_littlewood and
         miwa_push) already holds canonical terms."""
