@@ -6,8 +6,9 @@ involution omega, e_n = omega(h_n); (skew-)Schur polynomials come from the
 determinant identity det(h_{lam_i - mu_j - i + j}), expanded on integers (d!
 times the coefficients of a minor of weight d, over bit-packed exponents that
 never carry) on the side with fewer rows: via omega, a tall shape is the same
-determinant in e_k on its conjugate.  The character route, the independent
-oracle, sums only the nonzero characters of the shape's column;
+determinant in e_k on its conjugate; they are memoized per shape pair.  The
+character route, the independent oracle, sums only the nonzero characters of
+the shape's column;
 monomial and Hall-Littlewood polynomials live in a finite alphabet x1..xN,
 the latter carrying the deformation parameter Q, and ``miwa_push`` moves a
 t-polynomial there via t_j -> (1/j) * (x1^j + ... + xN^j).  All three are
@@ -40,6 +41,11 @@ __all__ = [
     "hall_littlewood",
     "miwa_push",
 ]
+
+# Entries of the Schur memo.  The largest verify sweep, the 67 shapes of at
+# most 8 boxes, fits with room to spare; an LRU smaller than a repeated
+# sweep's working set would evict each entry before its next use.
+SCHUR_CACHE_SIZE = 128
 
 
 class _Context:
@@ -132,6 +138,11 @@ def elementary(n: int) -> Polynomial:
 def schur(lam: YoungDiagram, mu: YoungDiagram | None = None) -> Polynomial:
     """(Skew-)Schur polynomial in the t-coordinates via the h-determinant.
 
+    Memoized per pair of parts, the last SCHUR_CACHE_SIZE pairs used, in
+    ``_schur`` (``cache_info()``, ``cache_clear()``); an omitted and an
+    empty mu are one entry.  A hit returns the same Polynomial object, which
+    is immutable.
+
     The matrix (h_{lam_i - mu_j - i + j}) is square of side
     max(rows(lam), rows(mu)), both partitions zero-padded, so its determinant
     vanishes whenever mu is not contained in lam.  With mu omitted this is the
@@ -149,7 +160,13 @@ def schur(lam: YoungDiagram, mu: YoungDiagram | None = None) -> Polynomial:
     multiply by adding keys.  The one division, by d!, happens in the final
     Polynomial.
     """
-    inner = mu if mu is not None else YoungDiagram()
+    return _schur(lam.parts, mu.parts if mu is not None else ())
+
+
+@lru_cache(maxsize=SCHUR_CACHE_SIZE)
+def _schur(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> Polynomial:
+    """``schur`` on the parts of lam and mu, () for an omitted mu."""
+    lam, inner = YoungDiagram._from_sorted(lam_parts), YoungDiagram._from_sorted(mu_parts)
     m, wide = max(lam.rows, inner.rows), max(lam.columns, inner.columns)
     entry = homogeneous
     if wide < m:

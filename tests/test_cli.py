@@ -7,6 +7,7 @@ import pytest
 
 from schurkit import canonical_text, from_term_list, verify
 from schurkit.cli import build_parser, main, run
+from schurkit.symfun import _schur
 
 S321 = "t1**6/45 - t1**3*t3/3 + t1*t5 - t3**2"
 M321 = (
@@ -209,6 +210,15 @@ class TestVerifyCommand:
         assert sorted(scope.choices) == sorted(verify.SCOPES)
         assert f"at most {verify.MAX_BOXES_LIMIT} " in max_boxes.help
 
+    def test_repeated_oracle_sweep_hits_the_schur_memo(self):
+        """All 67 shapes of at most 8 boxes stay in the memo between sweeps."""
+        argv = ["verify", "oracles", "--max-boxes", "8"]
+        assert run(argv) == (0, "oracles: pass (67 cases)")
+        before = _schur.cache_info()
+        assert run(argv) == (0, "oracles: pass (67 cases)")
+        after = _schur.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (67, 0)
+
     def test_max_boxes_bound(self, capsys):
         status, text = run(["verify", "all", "--max-boxes", "99"])
         assert (status, text) == (2, "")
@@ -248,6 +258,14 @@ class TestBenchCommand:
         status, text = run(["bench", "schur", "3", "--csv"])
         assert status == 0
         assert text.splitlines()[1].startswith("schur,3,4,")
+
+    def test_schur_times_a_build(self):
+        """bench schur calls the kernel behind the memo, so a repeat still
+        times a build and the memo neither gains nor serves an entry."""
+        info = _schur.cache_info()
+        for _ in range(2):
+            assert run(["bench", "schur", "7"])[0] == 0
+        assert _schur.cache_info() == info
 
     def test_size_bounds(self, capsys):
         assert run(["bench", "partitions", "81"])[0] == 2

@@ -89,6 +89,7 @@ MODULE_CACHES = [
     symfun.homogeneous,
     symfun.elementary,
     symfun._t_pairs,
+    symfun._schur,
     characters._character,
     characters._column,
     cli.build_parser,

@@ -35,6 +35,8 @@ from schurkit import (
     to_term_list,
     x_var,
 )
+from schurkit.cli import run
+from schurkit.symfun import SCHUR_CACHE_SIZE, _schur
 from schurkit.verify import _at_q_zero_and_one, check_degenerations
 
 from oracles import (dp_partition_counts, frobenius_character, hall_littlewood_numerator,
@@ -117,10 +119,10 @@ def refuse_generic_arithmetic(*args):
 
 def build_refusing_arithmetic(cases, refuse_fraction_arithmetic):
     """{key: (poly, digests, refused)} for (key, thunk) pairs, each built once
-    with h and e rebuilt and with Fraction arithmetic and substitute, products
-    and powers of Polynomials refused.  A case that reaches one of them is
-    marked refused and built again without the refusals, so its bytes are
-    still judged."""
+    with h, e and the Schur memo emptied first, and with Fraction arithmetic
+    and substitute, products and powers of Polynomials refused.  A case that
+    reaches one of them is marked refused and built again without the
+    refusals, so its bytes are still judged."""
     cases = dict(cases)
     out = {}
     with pytest.MonkeyPatch.context() as patch:
@@ -129,6 +131,7 @@ def build_refusing_arithmetic(cases, refuse_fraction_arithmetic):
             patch.setattr(Polynomial, name, refuse_generic_arithmetic)
         homogeneous.cache_clear()
         elementary.cache_clear()
+        _schur.cache_clear()
         for key, build in cases.items():
             try:
                 poly = build()
@@ -149,6 +152,13 @@ def golden_builds(refuse_fraction_arithmetic):
     hl = ((key, lambda key=key: hl_golden_build(key)) for key in hl_keys)
     return (build_refusing_arithmetic(miwa_golden_cases(), refuse_fraction_arithmetic),
             build_refusing_arithmetic(hl, refuse_fraction_arithmetic))
+
+
+@pytest.fixture
+def cold_schur():
+    """An empty Schur memo, so that a test judging how schur builds sees a
+    build and not a hit left by an earlier test."""
+    _schur.cache_clear()
 
 
 def parts_key(lam):
@@ -409,7 +419,7 @@ class TestSchur:
         for n in range(11):
             assert schur(YoungDiagram((1,) * n)) == elementary(n)
 
-    def test_long_column_costs_a_row(self, no_fraction_arithmetic):
+    def test_long_column_costs_a_row(self, cold_schur, no_fraction_arithmetic):
         """(1^40) is expanded on its one-row conjugate; as a 40x40
         h-determinant it does not finish in test time."""
         assert schur(YoungDiagram((1,) * 40)) == elementary(40)
@@ -507,12 +517,59 @@ class TestSkewSchur:
         # A row of 23 beside a lone box, with t1 reaching exponent 24.
         assert schur(shape((24, 1)), shape((1,))) == homogeneous(23) * homogeneous(1)
 
-    def test_staircase_within_budget(self):
+    def test_staircase_within_budget(self, cold_schur):
         """Fails if schur goes back to rational arithmetic (about 1.5 s there)."""
         start = time.perf_counter()
         poly = schur(YoungDiagram((8, 7, 6, 5, 4, 3, 2, 1)))
         assert time.perf_counter() - start < 0.5
         assert len(poly.terms) == 474
+
+
+class TestSchurMemo:
+    """schur keeps its last SCHUR_CACHE_SIZE (lam, mu) pairs in _schur."""
+
+    def test_bound(self):
+        assert SCHUR_CACHE_SIZE == _schur.cache_info().maxsize == 128
+
+    def test_three_spellings_share_one_entry(self, cold_schur):
+        lam = YoungDiagram((3, 2, 1))
+        built = schur(lam)
+        assert schur(lam, None) is built
+        assert schur(lam, YoungDiagram()) is built
+        info = _schur.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    @pytest.mark.parametrize("argv", [["schur", "5,5,3,3"], ["schur", "5,5,3,3", "--json"],
+                                      ["schur", "6,5,4,3", "--skew", "3,2,1", "--json"]])
+    def test_hit_prints_the_bytes_of_the_build(self, cold_schur, argv):
+        built = run(argv)
+        hits = _schur.cache_info().hits
+        assert run(argv) == built
+        assert _schur.cache_info().hits == hits + 1
+
+    def test_editing_a_terms_copy_leaves_the_entry(self, cold_schur):
+        lam = YoungDiagram((4, 2, 1))
+        poly = schur(lam)
+        text = canonical_text(poly)
+        terms = poly.terms
+        terms[next(iter(terms))] += 1
+        terms[((t_var(9), 1),)] = Fraction(5)
+        assert schur(lam) is poly
+        assert canonical_text(schur(lam)) == text
+
+    def test_evicted_pair_rebuilds_to_the_same_bytes(self, cold_schur):
+        first = YoungDiagram((2, 1))
+        before = hl_bytes(schur(first))
+        others = [(lam, mu) for mu in (YoungDiagram(), YoungDiagram((1,)))
+                  for lam in shapes_up_to(8)
+                  if lam.contains(mu) and (lam.parts, mu.parts) != (first.parts, ())]
+        assert len(others) == 132 > SCHUR_CACHE_SIZE
+        for lam, mu in others:
+            schur(lam, mu)
+        info = _schur.cache_info()
+        assert info.currsize == SCHUR_CACHE_SIZE
+        assert hl_bytes(schur(first)) == before
+        assert _schur.cache_info().misses == info.misses + 1
 
 
 class TestSchurViaCharacters:
@@ -625,7 +682,7 @@ class TestHallLittlewood:
                 assert got == monomial(lam, ctx), (n, lam.parts)
                 assert _at_q_zero_and_one(hl)[1] == got, (n, lam.parts)
 
-    def test_verify_sweep_skips_substitute(self, monkeypatch, no_fraction_arithmetic):
+    def test_verify_sweep_skips_substitute(self, cold_schur, monkeypatch, no_fraction_arithmetic):
         """verify degenerations specializes Q without substitute, on ints."""
         monkeypatch.setattr(Polynomial, "substitute", refuse_generic_arithmetic)
         assert check_degenerations(6) == ("degenerations", True, 50)
