@@ -4,11 +4,13 @@ Nothing here may call into schurkit: partition counts come from the classic
 coin-style dynamic program, enumeration from bounded recursion, transposition
 from direct column counting, the Hall-Littlewood numerator from summing over
 every permutation, characters of straight and skew shapes from the Frobenius
-formula.
+formula, and the text and wire bytes of a polynomial from one plain body per
+term in descending exponent-vector order.
 """
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from itertools import permutations
 
@@ -111,3 +113,46 @@ def frobenius_character(parts: tuple[int, ...], cycles: tuple[int, ...],
         need = tuple(p - i - inner[perm[i]] + perm[i] for i, p in enumerate(parts))
         total += (-1) ** inversions * power_sums.get(need, 0)
     return total
+
+
+
+def _rendered_terms(terms: dict) -> list[tuple[list[tuple[str, int]], object]]:
+    """([(name, exponent), ...], coefficient) per term, largest exponent
+    vector first.
+
+    A monomial is a tuple of ((kind, index), exponent) pairs and a variable
+    is named Q, or its kind and index (t2, x10); variables order as their
+    (kind, index) tuples, Q < t1 < t2 < ... < x1.  Each monomial becomes its
+    exponent vector over every variable of the polynomial, absent ones 0.
+    """
+    variables = sorted({v for mono in terms for v, _ in mono})
+    vector = {mono: tuple(dict(mono).get(v, 0) for v in variables) for mono in terms}
+    return [([("Q" if v[0] == "Q" else f"{v[0]}{v[1]}", e) for v, e in mono], terms[mono])
+            for mono in sorted(terms, key=vector.__getitem__, reverse=True)]
+
+
+def reference_text(terms: dict) -> str:
+    """The canonical text of {monomial: Fraction}: "0" when empty, otherwise
+    the terms joined by " + " or " - ", the first carrying a bare "-" when
+    negative; a body is num*x1**2*t3/den, with a 1 numerator, a 1
+    denominator and a 1 exponent left out, and a constant just num or num/den."""
+    out = []
+    for names, c in _rendered_terms(terms):
+        num, den = abs(c.numerator), c.denominator
+        factors = [n if e == 1 else f"{n}**{e}" for n, e in names]
+        if not factors or num != 1:
+            factors.insert(0, str(num))
+        body = "*".join(factors) + ("" if den == 1 else f"/{den}")
+        if out:
+            out.append((" - " if c < 0 else " + ") + body)
+        else:
+            out.append(("-" if c < 0 else "") + body)
+    return "".join(out) or "0"
+
+
+def reference_wire(terms: dict) -> str:
+    """The compact JSON of the wire form: per term, coeff "num" or "num/den"
+    and the monomial as {name: exponent} in variable order."""
+    return json.dumps([{"coeff": str(c.numerator) if c.denominator == 1
+                        else f"{c.numerator}/{c.denominator}", "monomial": dict(names)}
+                       for names, c in _rendered_terms(terms)], separators=(",", ":"))

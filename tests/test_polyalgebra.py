@@ -21,6 +21,8 @@ from schurkit import (
 )
 from schurkit.polyalgebra import _mono_key
 
+from oracles import reference_text, reference_wire
+
 Q = Polynomial.variable(q_var())
 T1, T2 = (Polynomial.variable(t_var(i)) for i in (1, 2))
 X1, X2, X3 = (Polynomial.variable(x_var(i)) for i in (1, 2, 3))
@@ -250,6 +252,31 @@ class TestCanonicalText:
         assert str(p) == canonical_text(p)
         assert repr(p) == f"Polynomial<{canonical_text(p)}>"
 
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_polynomials())
+    def test_bytes_match_reference_renderer(self, p):
+        assert canonical_text(p) == reference_text(p.terms)
+        assert json.dumps(to_term_list(p), separators=(",", ":")) == reference_wire(p.terms)
+
+    @pytest.mark.parametrize("p", [
+        Polynomial.zero(),
+        Polynomial.one(),
+        Polynomial.constant(-1),
+        Polynomial.constant(Fraction(-3, 4)),
+        Polynomial.constant(Fraction(10**30 + 1, 7)),
+        -X1 + 1,
+        X1 * Fraction(-1, 3) - Fraction(5, 2),
+        -(Q**2) * X1 * Fraction(7, 3) + T1 * T2 - X3 * Fraction(1, 9),
+        Q * T1 * X1 + Q * X1 - Q - T2**3 * X2 + 4,
+        # exponents on both sides of a slot width: 255 | 256 and 1 | 2 bits
+        X1**255 * X2 - X1**256 + X1**255 * X2**256 - Polynomial.variable(t_var(10))**3 + T2,
+        X1**2 - X1 * X2 + X2**3 * Q,
+    ], ids=["zero", "one", "minus-one", "negative-fraction", "big-constant", "leading-minus-x",
+            "x-over-den", "q-t-x-mix", "q-prefixes", "wide-slots", "narrow-slots"])
+    def test_reference_bytes_on_edge_cases(self, p):
+        assert canonical_text(p) == reference_text(p.terms)
+        assert json.dumps(to_term_list(p), separators=(",", ":")) == reference_wire(p.terms)
+
     @given(polynomials(), polynomials())
     def test_text_separates_unequal_polynomials(self, a, b):
         if canonical_text(a) == canonical_text(b):
@@ -302,6 +329,10 @@ class TestExactDivision:
     def test_rejects_inexact(self):
         with pytest.raises(ExactDivisionError):
             exact_divide(X1 + X2, X1 - X2)
+
+    def test_inexact_names_the_leading_term_without_its_sign(self):
+        with pytest.raises(ExactDivisionError, match=r"^leading term 3\*x1\*\*2/2 is not divisible$"):
+            exact_divide(X1**2 * Fraction(-3, 2) + X3, X2)
 
     @settings(deadline=None)
     @given(polynomials(), polynomials())
@@ -438,10 +469,13 @@ class TestTermLists:
             [{"coeff": "1", "monomial": {1: 1}}],
             [{"coeff": "1", "monomial": {"t1": 0}}],
             [{"coeff": "1", "monomial": {"t1": 1}}, {"coeff": "1", "monomial": {"t1": True}}],
+            [{"coeff": "3/2", "monomial": {"x1": 1}}, {"coeff": "3/2", "monomial": {"x2": 1}},
+             {"coeff": "6/4", "monomial": {"x3": 1}}],
         ] + [[{"coeff": c, "monomial": {"x1": 1}}] for c in NON_CANONICAL_COEFFS],
         ids=["missing-coeff", "list-monomial", "list-exponent", "non-list-data",
              "non-dict-entry", "zero-denominator", "float-coeff", "int-coeff",
-             "non-string-name", "zero-exponent", "bool-exponent-after-int"] + [f"coeff {c!r}" for c in NON_CANONICAL_COEFFS],
+             "non-string-name", "zero-exponent", "bool-exponent-after-int",
+             "bad-coeff-after-repeated-valid"] + [f"coeff {c!r}" for c in NON_CANONICAL_COEFFS],
     )
     def test_rejects_malformed_wire_data(self, data):
         with pytest.raises(ValueError):
