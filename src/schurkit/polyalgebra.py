@@ -22,6 +22,7 @@ import heapq
 from fractions import Fraction
 from functools import cache
 from itertools import chain
+from operator import itemgetter
 from collections.abc import Mapping
 from typing import NamedTuple
 
@@ -316,25 +317,8 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical order (descending lexicographic), the order of
         ``_mono_key``."""
-        return self._sorted_terms_and_variables()[0]
-
-    def _sorted_terms_and_variables(self) -> tuple[list[tuple[Monomial, Fraction]], list[Variable]]:
-        """``sorted_terms()`` and the variables, last first, from one pass over
-        the factors.
-
-        Each monomial packs into one int: over this polynomial's variables in
-        ascending order, the first in the highest slot, each exponent in a
-        slot wide enough for the largest one.  Descending ints are then
-        descending exponent vectors, an absent variable counting as 0.
-        """
-        terms = self._terms
-        factors = {ve for mono in terms for ve in mono}
-        width = max((e for _, e in factors), default=0).bit_length()
-        last_first = sorted({v for v, _ in factors}, reverse=True)
-        shift = {v: i * width for i, v in enumerate(last_first)}
-        packed = {(v, e): e << shift[v] for v, e in factors}.__getitem__
-        items = sorted(terms.items(), key=lambda mc: sum(map(packed, mc[0])), reverse=True)
-        return items, last_first
+        packed = _factor_table(self._terms)[0]
+        return sorted(self._terms.items(), key=lambda mc: sum(map(packed, mc[0])), reverse=True)
 
     def __str__(self) -> str:
         return canonical_text(self)
@@ -343,18 +327,28 @@ class Polynomial:
         return f"Polynomial<{canonical_text(self)}>"
 
 
-def _term_body(mono: Monomial, coeff: Fraction, names: Mapping[Variable, str]) -> str:
-    """The term without its sign; ``names`` maps each variable to its name."""
-    num = abs(coeff.numerator)
-    den = coeff.denominator
-    if not mono:
-        return str(num) if den == 1 else f"{num}/{den}"
-    body = "*".join([names[v] if e == 1 else f"{names[v]}**{e}" for v, e in mono])
-    if num != 1:
-        body = f"{num}*{body}"
-    if den != 1:
-        body = f"{body}/{den}"
-    return body
+def _factor_table(terms: Mapping[Monomial, Fraction]):
+    """Three lookups over the distinct (variable, exponent) factors of
+    ``terms``: a factor's packed share of the sort key, its text word (``x3``,
+    ``t2**4``) and its wire pair (``("t2", 4)``).
+
+    A monomial's key, the sum of its shares, is one int: over the variables
+    in ascending order, the first in the highest slot, each exponent in a
+    slot wide enough for the largest one.  Descending keys are then
+    descending exponent vectors, an absent variable counting as 0.
+    """
+    factors = {ve for mono in terms for ve in mono}
+    width = max((e for _, e in factors), default=0).bit_length()
+    last_first = sorted({v for v, _ in factors}, reverse=True)
+    slot = {v: (i * width, v.name) for i, v in enumerate(last_first)}
+    packed, word, pair = {}, {}, {}
+    for ve in factors:
+        v, e = ve
+        shift, name = slot[v]
+        packed[ve] = e << shift
+        word[ve] = name if e == 1 else f"{name}**{e}"
+        pair[ve] = (name, e)
+    return packed.__getitem__, word.__getitem__, pair.__getitem__
 
 
 def canonical_text(p: Polynomial) -> str:
@@ -363,14 +357,22 @@ def canonical_text(p: Polynomial) -> str:
     Terms appear in canonical order; the first term carries a bare leading
     minus when negative, later terms are joined with " + " or " - ".
     """
-    items, variables = p._sorted_terms_and_variables()
-    if not items:
+    terms = p._terms
+    if not terms:
         return "0"
-    names = {v: v.name for v in variables}
-    pieces: list[str] = []
-    for mono, coeff in items:
-        body = _term_body(mono, coeff, names)
-        pieces.append(f" - {body}" if coeff.numerator < 0 else f" + {body}")
+    packed, word, _ = _factor_table(terms)
+    rows = []  # (key, the term with its " + " or " - ")
+    for mono, coeff in terms.items():
+        num, den = coeff.numerator, coeff.denominator
+        sign = " + "
+        if num < 0:
+            num, sign = -num, " - "
+        body = "*".join(map(word, mono)) if mono else str(num)
+        if num != 1 and mono:
+            body = f"{num}*{body}"
+        rows.append((sum(map(packed, mono)), sign + body if den == 1 else f"{sign}{body}/{den}"))
+    rows.sort(key=itemgetter(0), reverse=True)
+    pieces = [piece for _, piece in rows]
     first = pieces[0]  # the leading " + " or " - " becomes "" or "-"
     pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
     return "".join(pieces)
@@ -401,7 +403,7 @@ def exact_divide(num: Polynomial, den: Polynomial) -> Polynomial:
             continue
         q_mono = _mono_div(mono, lead_mono)
         if q_mono is None:
-            body = _term_body(mono, coeff, {v: v.name for v, _ in mono})
+            body = canonical_text(Polynomial._raw({mono: abs(coeff)}))
             raise ExactDivisionError(f"leading term {body} is not divisible")
         # Popped monomials strictly descend, so each quotient monomial is new.
         quotient[q_mono] = q_coeff = coeff / lead_coeff
@@ -445,10 +447,11 @@ def determinant(rows: list[list[Polynomial]]) -> Polynomial:
 
 def to_term_list(p: Polynomial) -> list[dict]:
     """Encode as a list of {"coeff": "p/q", "monomial": {...}} in canonical order."""
-    items, variables = p._sorted_terms_and_variables()
-    names = {v: v.name for v in variables}
-    return [{"coeff": str(coeff), "monomial": {names[v]: e for v, e in mono}}
-            for mono, coeff in items]
+    terms = p._terms
+    packed, _, pair = _factor_table(terms)
+    return [{"coeff": str(coeff), "monomial": dict(map(pair, mono))}
+            for mono, coeff in sorted(terms.items(), key=lambda mc: sum(map(packed, mc[0])),
+                                      reverse=True)]
 
 
 def _parse_variable(name: str) -> Variable:
@@ -487,13 +490,14 @@ def from_term_list(data: list[dict]) -> Polynomial:
     # (name, exponent) -> (Variable, exponent): each name is parsed once, and
     # equal factors share one pair.
     factor_of: dict[tuple[str, int], tuple[Variable, int]] = {}
+    parse_coeff = cache(_parse_coeff)  # likewise each coefficient string
 
     def parsed():
         for entry in data:
             if not (isinstance(entry, dict) and type(entry.get("coeff")) is str
                     and isinstance(entry.get("monomial"), dict)):
                 raise ValueError(f"malformed term {entry!r}: needs a string coeff and a monomial")
-            coeff = _parse_coeff(entry["coeff"])
+            coeff = parse_coeff(entry["coeff"])
             factors = []
             for item in entry["monomial"].items():
                 name, e = item
