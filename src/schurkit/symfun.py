@@ -99,20 +99,23 @@ class AlphabetContext(_Context):
 
 
 @cache
+def _t_pair(j: int, k: int) -> tuple[Variable, int]:
+    """The monomial factor (t_j, k), one object for every table that holds it."""
+    return t_var(j), k
+
+
+@cache
 def _t_pairs(n: int) -> tuple[tuple[tuple[Variable, int], ...], ...]:
     """The table of weight n: entry [j][k] is the pair (t_j, k), for j <= n and
     k <= n // j, one shared monomial factor for every term with k factors t_j."""
-    return ((),) + tuple(tuple((t_var(j), k) for k in range(n // j + 1))
+    return ((),) + tuple(tuple(_t_pair(j, k) for k in range(n // j + 1))
                          for j in range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def homogeneous(n: int) -> Polynomial:
-    """Complete homogeneous polynomial h_n in the t-coordinates.
-
-    h_n sums, over all multiplicity vectors with sum j*k_j = n, the products
-    of t_j^{k_j} / k_j!; h_0 = 1.
-    """
+def _cycle_types(n: int, signed: bool) -> Polynomial:
+    """The sum over cycle types of weight n, with k_j cycles of length j, of
+    prod_j t_j^{k_j} / k_j!, each term signed (-1)^(n - r) for r cycles when
+    ``signed``: h_n, and e_n = omega(h_n) (Macdonald I (2.14'))."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     rows = _t_pairs(n)
@@ -123,16 +126,23 @@ def homogeneous(n: int) -> Polynomial:
             k = len(list(run))
             mono.append(rows[j][k])
             den *= factorial(k)
-        terms[tuple(mono)] = Fraction(1, den)
+        terms[tuple(mono)] = Fraction(-1 if signed and n - len(parts) & 1 else 1, den)
     return Polynomial._raw(terms)
+
+
+@lru_cache(maxsize=None)
+def homogeneous(n: int) -> Polynomial:
+    """Complete homogeneous polynomial h_n in the t-coordinates: the sum over
+    all multiplicity vectors with sum j*k_j = n of the products of
+    t_j^{k_j} / k_j!; h_0 = 1."""
+    return _cycle_types(n, signed=False)
 
 
 @lru_cache(maxsize=None)
 def elementary(n: int) -> Polynomial:
     """Elementary polynomial e_n = omega(h_n) in the t-coordinates: h_n's term
-    of a cycle type with r cycles, signed (-1)^(n - r) (Macdonald I (2.14'))."""
-    return Polynomial._raw({mono: -c if n - sum(k for _, k in mono) & 1 else c
-                            for mono, c in homogeneous(n).terms.items()})
+    of a cycle type with r cycles, signed (-1)^(n - r)."""
+    return _cycle_types(n, signed=True)
 
 
 def schur(lam: YoungDiagram, mu: YoungDiagram | None = None) -> Polynomial:

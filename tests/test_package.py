@@ -88,6 +88,7 @@ def test_cli_import_defers_first_use_modules(child_env):
 MODULE_CACHES = [
     symfun.homogeneous,
     symfun.elementary,
+    symfun._t_pair,
     symfun._t_pairs,
     symfun._schur,
     characters._character,

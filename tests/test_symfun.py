@@ -36,7 +36,7 @@ from schurkit import (
     x_var,
 )
 from schurkit.cli import run
-from schurkit.symfun import SCHUR_CACHE_SIZE, _schur
+from schurkit.symfun import SCHUR_CACHE_SIZE, _schur, _t_pairs
 from schurkit.verify import _at_q_zero_and_one, check_degenerations
 
 from oracles import (dp_partition_counts, frobenius_character, hall_littlewood_numerator,
@@ -334,6 +334,11 @@ def oracle_homogeneous(n):
 
 
 class TestHomogeneous:
+    def test_tables_of_every_weight_share_their_pairs(self):
+        small, large = _t_pairs(39), _t_pairs(40)
+        assert small[1][1] is large[1][1]
+        assert all(pair is large[j][k] for j, row in enumerate(small) for k, pair in enumerate(row))
+
     def test_degree_zero_and_one(self):
         assert homogeneous(0) == Polynomial.one()
         assert homogeneous(1) == T[1]
@@ -389,6 +394,14 @@ class TestElementary:
                 {t_var(j): -T[j] for j in range(1, n + 1)}
             )
             assert elementary(n) == flipped * (-1) ** n
+
+    def test_builds_and_keeps_no_homogeneous(self):
+        homogeneous.cache_clear()
+        elementary.cache_clear()
+        assert canonical_text(elementary(4)) == "t1**4/24 - t1**2*t2/2 + t1*t3 + t2**2/2 - t4"
+        assert homogeneous.cache_info().currsize == 0
+        with pytest.raises(ValueError):
+            elementary(-1)
 
     def test_convolution_vanishes(self):
         """sum_k (-1)^k e_k h_{n-k} = 0 for n >= 1."""
