@@ -6,9 +6,9 @@ involution omega, e_n = omega(h_n); (skew-)Schur polynomials come from the
 determinant identity det(h_{lam_i - mu_j - i + j}), expanded on integers (d!
 times the coefficients of a minor of weight d, over bit-packed exponents that
 never carry) on the side with fewer rows: via omega, a tall shape is the same
-determinant in e_k on its conjugate; they are memoized per shape pair.  The
-character route, the independent oracle, sums only the nonzero characters of
-the shape's column;
+determinant in e_k on its conjugate.  One memo per shape pair holds them
+all, h_n = s_(n) and e_n = s_(1^n) included.  The character route, the
+independent oracle, sums only the nonzero characters of the shape's column;
 monomial and Hall-Littlewood polynomials live in a finite alphabet x1..xN,
 the latter carrying the deformation parameter Q, and ``miwa_push`` moves a
 t-polynomial there via t_j -> (1/j) * (x1^j + ... + xN^j).  All three are
@@ -42,9 +42,11 @@ __all__ = [
     "miwa_push",
 ]
 
-# Entries of the Schur memo.  The largest verify sweep, the 67 shapes of at
-# most 8 boxes, fits with room to spare; an LRU smaller than a repeated
-# sweep's working set would evict each entry before its next use.
+# Entries of the Schur memo of (skew) Schur polynomials, h_n = s_(n) and
+# e_n = s_(1^n) among them.  One dealt benchmark round fills 48 (schur-miwa),
+# 67 (character-route: the largest verify sweep, all shapes of at most 8 boxes)
+# or 0 (hl-build); an LRU smaller than a repeated sweep's working set would
+# evict each entry before its next use.
 SCHUR_CACHE_SIZE = 128
 
 
@@ -113,11 +115,9 @@ def _t_pairs(n: int) -> tuple[tuple[tuple[Variable, int], ...], ...]:
 
 
 def _cycle_types(n: int, signed: bool) -> Polynomial:
-    """The sum over cycle types of weight n, with k_j cycles of length j, of
-    prod_j t_j^{k_j} / k_j!, each term signed (-1)^(n - r) for r cycles when
+    """The sum over cycle types of weight n >= 0, with k_j cycles of length j,
+    of prod_j t_j^{k_j} / k_j!, each term signed (-1)^(n - r) for r cycles when
     ``signed``: h_n, and e_n = omega(h_n) (Macdonald I (2.14'))."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     rows = _t_pairs(n)
     terms = {}
     for parts in _ascending_compositions(n):  # ascending, so t_j ascends too
@@ -130,19 +130,22 @@ def _cycle_types(n: int, signed: bool) -> Polynomial:
     return Polynomial._raw(terms)
 
 
-@lru_cache(maxsize=None)
 def homogeneous(n: int) -> Polynomial:
     """Complete homogeneous polynomial h_n in the t-coordinates: the sum over
     all multiplicity vectors with sum j*k_j = n of the products of
-    t_j^{k_j} / k_j!; h_0 = 1."""
-    return _cycle_types(n, signed=False)
+    t_j^{k_j} / k_j!; h_0 = 1.  The Schur memo's entry h_n = s_(n)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _schur((n,) if n else (), ())
 
 
-@lru_cache(maxsize=None)
 def elementary(n: int) -> Polynomial:
     """Elementary polynomial e_n = omega(h_n) in the t-coordinates: h_n's term
-    of a cycle type with r cycles, signed (-1)^(n - r)."""
-    return _cycle_types(n, signed=True)
+    of a cycle type with r cycles, signed (-1)^(n - r).  The Schur memo's
+    entry e_n = s_(1^n)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _schur((1,) * n, ())
 
 
 def schur(lam: YoungDiagram, mu: YoungDiagram | None = None) -> Polynomial:
@@ -178,12 +181,13 @@ def _schur(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> Polynomial:
     """``schur`` on the parts of lam and mu, () for an omitted mu."""
     lam, inner = YoungDiagram._from_sorted(lam_parts), YoungDiagram._from_sorted(mu_parts)
     m, wide = max(lam.rows, inner.rows), max(lam.columns, inner.columns)
-    entry = homogeneous
-    if wide < m:
-        lam, inner, m, entry = lam.transpose(), inner.transpose(), wide, elementary
-    if m <= 1:  # the cached h_k or e_k itself, 1 for two empty shapes
+    signed = wide < m
+    if signed:
+        lam, inner, m = lam.transpose(), inner.transpose(), wide
+    if m <= 1:  # h_k or e_k itself, 1 for two empty shapes
         k = lam.boxes - inner.boxes
-        return entry(k) if k >= 0 else Polynomial.zero()
+        return _cycle_types(k, signed) if k >= 0 else Polynomial.zero()
+    entry = elementary if signed else homogeneous  # entries read the memo
     lp = lam.parts + (0,) * (m - lam.rows)
     mp = inner.parts + (0,) * (m - inner.rows)
     # Entry (i, j) is entry(a[i] - b[j]), zero when the index is negative.
@@ -197,7 +201,7 @@ def _schur(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> Polynomial:
     for k in {x - y for x in a for y in b if x >= y}:
         fk = factorial(k)  # h_k's and e_k's coefficients are +-1/prod_j k_j!
         table[k] = {sum(e << (v.index - 1) * width for v, e in mono):
-                    fk // c.denominator * c.numerator for mono, c in entry(k).terms.items()}
+                    fk // c.denominator * c.numerator for mono, c in entry(k)._terms.items()}
 
     cache: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
 
@@ -394,8 +398,8 @@ def miwa_push(p: Polynomial, alphabet: AlphabetContext) -> Polynomial:
     # The factors 1/j of t_j join each coefficient's denominator; every source
     # monomial then enters as an int over their common multiple den.
     scale = {mono: c.denominator * prod(v.index ** e for v, e in mono)
-             for mono, c in p.terms.items()}
+             for mono, c in p._terms.items()}
     den = lcm(*scale.values())
-    layer = {mono: {(0, ()): c.numerator * den // scale[mono]} for mono, c in p.terms.items()}
+    layer = {mono: {(0, ()): c.numerator * den // scale[mono]} for mono, c in p._terms.items()}
     dominant = _peel(layer, alphabet.count, step)
     return _orbits({key: Fraction(c, den) for key, c in dominant.items() if c}, alphabet.variables())

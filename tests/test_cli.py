@@ -261,11 +261,16 @@ class TestBenchCommand:
 
     def test_schur_times_a_build(self):
         """bench schur calls the kernel behind the memo, so a repeat still
-        times a build and the memo neither gains nor serves an entry."""
+        times a build: the memo never holds the staircase, only its entries
+        h_k, which a repeat reads as hits."""
+        _schur.cache_clear()
+        assert run(["bench", "schur", "7"])[0] == 0
         info = _schur.cache_info()
-        for _ in range(2):
-            assert run(["bench", "schur", "7"])[0] == 0
-        assert _schur.cache_info() == info
+        assert run(["bench", "schur", "7"])[0] == 0
+        after = _schur.cache_info()
+        assert (after.misses, after.currsize) == (info.misses, info.currsize)
+        _schur((7, 6, 5, 4, 3, 2, 1), ())
+        assert _schur.cache_info().misses == info.misses + 1
 
     def test_size_bounds(self, capsys):
         assert run(["bench", "partitions", "81"])[0] == 2
@@ -357,20 +362,20 @@ class TestErrorPaths:
 
     def test_out_of_memory_in_a_process(self, child_env):
         """Under a 1.5 GB address-space limit, listing the partitions of
-        5 * 10^9 runs out of memory and ends in one stderr line."""
+        5 * 10^9, or spelling e_n's key (1,) * n for n near 10^11, runs out
+        of memory and ends in one stderr line."""
         resource = pytest.importorskip("resource")
         limit = 1536 * 2**20
-        proc = subprocess.run(
-            [sys.executable, "-m", "schurkit.cli", "list", "5000000000"],
-            capture_output=True,
-            text=True,
-            env=child_env,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-            timeout=60,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == "schurkit: out of memory\n"
+        for argv in (["list", "5000000000"], ["elementary", "99999999999"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "schurkit.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=child_env,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+                timeout=60,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "schurkit: out of memory\n"), argv
 
     def test_nothing_on_stdout_after_error(self, capsys):
         status = main(["schur", "1,2,3"])

@@ -119,18 +119,16 @@ def refuse_generic_arithmetic(*args):
 
 def build_refusing_arithmetic(cases, refuse_fraction_arithmetic):
     """{key: (poly, digests, refused)} for (key, thunk) pairs, each built once
-    with h, e and the Schur memo emptied first, and with Fraction arithmetic
-    and substitute, products and powers of Polynomials refused.  A case that
-    reaches one of them is marked refused and built again without the
-    refusals, so its bytes are still judged."""
+    with the Schur memo (h and e among its entries) emptied first, and with
+    Fraction arithmetic and substitute, products and powers of Polynomials
+    refused.  A case that reaches one of them is marked refused and built
+    again without the refusals, so its bytes are still judged."""
     cases = dict(cases)
     out = {}
     with pytest.MonkeyPatch.context() as patch:
         refuse_fraction_arithmetic(patch)
         for name in ("substitute", "__mul__", "__rmul__", "__pow__"):
             patch.setattr(Polynomial, name, refuse_generic_arithmetic)
-        homogeneous.cache_clear()
-        elementary.cache_clear()
         _schur.cache_clear()
         for key, build in cases.items():
             try:
@@ -395,11 +393,9 @@ class TestElementary:
             )
             assert elementary(n) == flipped * (-1) ** n
 
-    def test_builds_and_keeps_no_homogeneous(self):
-        homogeneous.cache_clear()
-        elementary.cache_clear()
+    def test_builds_and_keeps_no_homogeneous(self, cold_schur):
         assert canonical_text(elementary(4)) == "t1**4/24 - t1**2*t2/2 + t1*t3 + t2**2/2 - t4"
-        assert homogeneous.cache_info().currsize == 0
+        assert _schur.cache_info().currsize == 1
         with pytest.raises(ValueError):
             elementary(-1)
 
@@ -547,10 +543,26 @@ class TestSchurMemo:
     def test_three_spellings_share_one_entry(self, cold_schur):
         lam = YoungDiagram((3, 2, 1))
         built = schur(lam)
+        info = _schur.cache_info()
         assert schur(lam, None) is built
         assert schur(lam, YoungDiagram()) is built
+        after = _schur.cache_info()
+        assert (after.misses - info.misses, after.hits - info.hits,
+                after.currsize - info.currsize) == (0, 2, 0)
+
+    def test_h_and_e_are_memo_entries(self):
+        for n in range(13):
+            assert homogeneous(n) is schur(YoungDiagram((n,) if n else ()))
+            assert elementary(n) is schur(YoungDiagram((1,) * n))
+
+    def test_negative_degree_raises_before_any_key(self):
+        """The check comes first: the keys (-1,) and (1,) * -1 = () would
+        both build 1."""
         info = _schur.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        for family in (homogeneous, elementary):
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                family(-1)
+        assert _schur.cache_info() == info
 
     @pytest.mark.parametrize("argv", [["schur", "5,5,3,3"], ["schur", "5,5,3,3", "--json"],
                                       ["schur", "6,5,4,3", "--skew", "3,2,1", "--json"]])
@@ -583,6 +595,25 @@ class TestSchurMemo:
         assert info.currsize == SCHUR_CACHE_SIZE
         assert hl_bytes(schur(first)) == before
         assert _schur.cache_info().misses == info.misses + 1
+
+    def test_evicted_families_rebuild_to_their_digests(self, cold_schur):
+        """h_k, e_k and Schur entries pushed out by more than SCHUR_CACHE_SIZE
+        other pairs rebuild to their frozen bytes."""
+        golden = json.loads(MIWA_GOLDEN.read_text())["cases"]
+        cases = dict(miwa_golden_cases())
+        keys = [f"{family}|{k}" for k in range(13) for family in ("homogeneous", "elementary")]
+        keys += ["schur|3,2,1", "schur|4,4,2", "schur|2,2,2,1,1", "skew|4,3,1/2,1"]
+        first = {key: cases[key]() for key in keys}
+        others = [(lam, mu) for mu in (YoungDiagram((1,)), YoungDiagram((2,)), YoungDiagram((1, 1)))
+                  for lam in shapes_up_to(8) if lam.contains(mu)]
+        assert len(others) > SCHUR_CACHE_SIZE
+        for lam, mu in others:
+            schur(lam, mu)
+        assert _schur.cache_info().currsize == SCHUR_CACHE_SIZE
+        again = {key: cases[key]() for key in keys}
+        assert any(again[key] is not first[key] for key in keys)
+        for key in keys:
+            assert digests(again[key]) == golden[key], key
 
 
 class TestSchurViaCharacters:
