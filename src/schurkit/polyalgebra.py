@@ -22,7 +22,6 @@ import heapq
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from operator import itemgetter
 from collections.abc import Mapping
 from typing import NamedTuple
 
@@ -317,8 +316,7 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical order (descending lexicographic), the order of
         ``_mono_key``."""
-        packed = _factor_table(self._terms)[0]
-        return sorted(self._terms.items(), key=lambda mc: sum(map(packed, mc[0])), reverse=True)
+        return _ordered(self._terms)[0]
 
     def __str__(self) -> str:
         return canonical_text(self)
@@ -327,15 +325,16 @@ class Polynomial:
         return f"Polynomial<{canonical_text(self)}>"
 
 
-def _factor_table(terms: Mapping[Monomial, Fraction]):
-    """Three lookups over the distinct (variable, exponent) factors of
-    ``terms``: a factor's packed share of the sort key, its text word (``x3``,
-    ``t2**4``) and its wire pair (``("t2", 4)``).
+def _ordered(terms: Mapping[Monomial, Fraction]):
+    """The terms in canonical order, and two lookups over their distinct
+    (variable, exponent) factors: the text word (``x3``, ``t2**4``) and the
+    wire pair (``("t2", 4)``).
 
-    A monomial's key, the sum of its shares, is one int: over the variables
-    in ascending order, the first in the highest slot, each exponent in a
-    slot wide enough for the largest one.  Descending keys are then
-    descending exponent vectors, an absent variable counting as 0.
+    The sort key of a monomial is one int, the sum of its factors' packed
+    shares: over the variables in ascending order, the first in the highest
+    slot, each exponent in a slot wide enough for the largest one.  Descending
+    keys are then descending exponent vectors, an absent variable counting as
+    0.  The keys live only inside the sort.
     """
     factors = {ve for mono in terms for ve in mono}
     width = max((e for _, e in factors), default=0).bit_length()
@@ -348,7 +347,9 @@ def _factor_table(terms: Mapping[Monomial, Fraction]):
         packed[ve] = e << shift
         word[ve] = name if e == 1 else f"{name}**{e}"
         pair[ve] = (name, e)
-    return packed.__getitem__, word.__getitem__, pair.__getitem__
+    share = packed.__getitem__
+    ordered = sorted(terms.items(), key=lambda mc: sum(map(share, mc[0])), reverse=True)
+    return ordered, word.__getitem__, pair.__getitem__
 
 
 def canonical_text(p: Polynomial) -> str:
@@ -357,12 +358,11 @@ def canonical_text(p: Polynomial) -> str:
     Terms appear in canonical order; the first term carries a bare leading
     minus when negative, later terms are joined with " + " or " - ".
     """
-    terms = p._terms
-    if not terms:
+    if not p._terms:
         return "0"
-    packed, word, _ = _factor_table(terms)
-    rows = []  # (key, the term with its " + " or " - ")
-    for mono, coeff in terms.items():
+    ordered, word, _ = _ordered(p._terms)
+    pieces = []  # each term with its " + " or " - "
+    for mono, coeff in ordered:
         num, den = coeff.numerator, coeff.denominator
         sign = " + "
         if num < 0:
@@ -370,9 +370,7 @@ def canonical_text(p: Polynomial) -> str:
         body = "*".join(map(word, mono)) if mono else str(num)
         if num != 1 and mono:
             body = f"{num}*{body}"
-        rows.append((sum(map(packed, mono)), sign + body if den == 1 else f"{sign}{body}/{den}"))
-    rows.sort(key=itemgetter(0), reverse=True)
-    pieces = [piece for _, piece in rows]
+        pieces.append(sign + body if den == 1 else f"{sign}{body}/{den}")
     first = pieces[0]  # the leading " + " or " - " becomes "" or "-"
     pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
     return "".join(pieces)
@@ -447,11 +445,8 @@ def determinant(rows: list[list[Polynomial]]) -> Polynomial:
 
 def to_term_list(p: Polynomial) -> list[dict]:
     """Encode as a list of {"coeff": "p/q", "monomial": {...}} in canonical order."""
-    terms = p._terms
-    packed, _, pair = _factor_table(terms)
-    return [{"coeff": str(coeff), "monomial": dict(map(pair, mono))}
-            for mono, coeff in sorted(terms.items(), key=lambda mc: sum(map(packed, mc[0])),
-                                      reverse=True)]
+    ordered, _, pair = _ordered(p._terms)
+    return [{"coeff": str(coeff), "monomial": dict(map(pair, mono))} for mono, coeff in ordered]
 
 
 def _parse_variable(name: str) -> Variable:
