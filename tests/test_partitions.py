@@ -1,10 +1,15 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from schurkit import ConjugacyClass, YoungDiagram, partitions_of
+from schurkit import ConjugacyClass, YoungDiagram, cli, partitions_of
 from oracles import boxes_of, dp_partition_counts, grid_transpose, naive_partitions
+
+PARTITIONS_GOLDEN = Path(__file__).parent / "fixtures" / "partitions_golden.json"
 
 random_parts = st.lists(st.integers(1, 10), max_size=8).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -211,6 +216,16 @@ class TestEnumeration:
         ]
         assert [d.parts for d in partitions_of(0)] == [()]
         assert [d.parts for d in partitions_of(1)] == [(1,)]
+
+    def test_list_matches_frozen_golden(self):
+        """Order is the contract: `list n` prints the frozen bytes for every
+        n <= 25."""
+        golden = json.loads(PARTITIONS_GOLDEN.read_text())["cases"]
+        assert set(golden) == {str(n) for n in range(26)}
+        for n in range(26):
+            status, text = cli.run(["list", str(n)])
+            assert status == 0
+            assert hashlib.sha256(text.encode()).hexdigest() == golden[str(n)], n
 
     def test_order_is_deterministic(self):
         assert list(partitions_of(9)) == list(partitions_of(9))
