@@ -70,13 +70,13 @@ class YoungDiagram:
                 raise ValueError("zero part before a nonzero part")
             if i and seq[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing, got {seq[i - 1]} < {p}")
-        object.__setattr__(self, "_parts", tuple(seq))
+        self._parts = tuple(seq)
 
     @classmethod
     def _from_sorted(cls, parts: tuple[int, ...]) -> "YoungDiagram":
         # Fast path for internal callers that already hold a valid tuple.
         self = object.__new__(cls)
-        object.__setattr__(self, "_parts", parts)
+        self._parts = parts
         return self
 
     @property
@@ -182,7 +182,7 @@ class ConjugacyClass:
                 raise ValueError(f"multiplicities must be nonnegative integers, got {k!r}")
             if k:
                 mult[j] = k
-        object.__setattr__(self, "_mult", mult)
+        self._mult = mult
 
     @property
     def multiplicities(self) -> dict[int, int]:
@@ -218,14 +218,19 @@ class ConjugacyClass:
         return f"ConjugacyClass({{{inner}}})"
 
 
-def _ascending_compositions(n: int) -> Iterator[list[int]]:
-    """Kelleher-O'Sullivan accelerated ascending-composition generator.
+def partitions_of(n: int) -> Iterator[YoungDiagram]:
+    """Generate all partitions of n, each exactly once.
 
-    Yields every partition of n exactly once as a weakly increasing list, in
-    lexicographic order; the caller owns reversing into decreasing parts.
+    One Kelleher-O'Sullivan accelerated loop (arXiv:0909.2331) walks the
+    ascending compositions of n in lexicographic order and reads each one
+    right to left, so every diagram comes out with decreasing parts; for
+    n=4: (1,1,1,1), (2,1,1), (3,1), (2,2), (4).
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    diagram = YoungDiagram._from_sorted
     if n == 0:
-        yield []
+        yield diagram(())
         return
     a = [0] * (n + 1)
     k = 1
@@ -241,22 +246,9 @@ def _ascending_compositions(n: int) -> Iterator[list[int]]:
         while x <= y:
             a[k] = x
             a[ell] = y
-            yield a[: k + 2]
+            yield diagram(tuple(a[k + 1::-1]))
             x += 1
             y -= 1
         a[k] = x + y
         y = x + y - 1
-        yield a[: k + 1]
-
-
-def partitions_of(n: int) -> Iterator[YoungDiagram]:
-    """Generate all partitions of n, each exactly once.
-
-    Emission order is the generator's native one: ascending compositions in
-    lexicographic order, each reversed into a decreasing diagram, i.e. for
-    n=4: (1,1,1,1), (2,1,1), (3,1), (2,2), (4).
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    for comp in _ascending_compositions(n):
-        yield YoungDiagram._from_sorted(tuple(reversed(comp)))
+        yield diagram(tuple(a[k::-1]))

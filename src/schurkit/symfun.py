@@ -27,7 +27,7 @@ from itertools import combinations, groupby, product
 from math import comb, factorial, lcm, prod
 
 from .characters import _column
-from .partitions import YoungDiagram, _ascending_compositions
+from .partitions import YoungDiagram, partitions_of
 from .polyalgebra import Polynomial, Variable, q_var, t_var, x_var
 
 __all__ = [
@@ -117,16 +117,21 @@ def _t_pairs(n: int) -> tuple[tuple[tuple[Variable, int], ...], ...]:
 def _cycle_types(n: int, signed: bool) -> Polynomial:
     """The sum over cycle types of weight n >= 0, with k_j cycles of length j,
     of prod_j t_j^{k_j} / k_j!, each term signed (-1)^(n - r) for r cycles when
-    ``signed``: h_n, and e_n = omega(h_n) (Macdonald I (2.14'))."""
+    ``signed``: h_n, and e_n = omega(h_n) (Macdonald I (2.14')).  Terms share
+    one ``Fraction`` per signed denominator."""
     rows = _t_pairs(n)
-    terms = {}
-    for parts in _ascending_compositions(n):  # ascending, so t_j ascends too
+    terms, coeffs = {}, {}
+    for lam in partitions_of(n):
+        parts = lam.parts
         mono, den = [], 1
         for j, run in groupby(parts):
             k = len(list(run))
             mono.append(rows[j][k])
             den *= factorial(k)
-        terms[tuple(mono)] = Fraction(-1 if signed and n - len(parts) & 1 else 1, den)
+        if signed and n - len(parts) & 1:
+            den = -den
+        mono.reverse()  # parts decrease, and t_j ascends in a monomial
+        terms[tuple(mono)] = coeffs.get(den) or coeffs.setdefault(den, Fraction(1, den))
     return Polynomial._raw(terms)
 
 

@@ -197,7 +197,7 @@ class TestColumn:
         def refuse(*args):
             raise AssertionError("the character route left its column")
 
-        for name in ("_ascending_compositions", "homogeneous", "elementary"):
+        for name in ("partitions_of", "homogeneous", "elementary"):
             monkeypatch.setattr(symfun, name, refuse)
         _column.cache_clear()
         before = _character.cache_info().currsize
