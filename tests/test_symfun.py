@@ -247,6 +247,16 @@ def miwa_golden_cases():
     for lam in partitions_of(8):
         yield (f"miwa_push|6|{parts_key(lam)}",
                lambda lam=lam: miwa_push(schur(lam), AlphabetContext(6)))
+    # Frozen later, before the letter loop tabulated each state's branches:
+    # shapes of <= 6 boxes pushed to 7 letters (6 letters are above), and two
+    # large pushes, with up to 15 and 16 factors t_j in a monomial.
+    for lam in shapes_up_to(6):
+        yield (f"miwa_push|7|{parts_key(lam)}",
+               lambda lam=lam: miwa_push(schur(lam), AlphabetContext(7)))
+    for n, parts in ((5, (5, 4, 3, 2, 1)), (4, (4, 4, 4, 4))):
+        lam = YoungDiagram(parts)
+        yield (f"miwa_push|{n}|{parts_key(lam)}",
+               lambda lam=lam, n=n: miwa_push(schur(lam), AlphabetContext(n)))
 
 
 # Shapes of 22-28 boxes whose character-route Schur polynomials are frozen.
