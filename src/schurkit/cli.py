@@ -18,7 +18,7 @@ import time
 from .characters import character
 from .partitions import ConjugacyClass, YoungDiagram, partitions_of
 from .polyalgebra import canonical_text, to_term_list
-from .symfun import AlphabetContext, _schur, elementary, hall_littlewood, homogeneous, monomial, schur
+from .symfun import AlphabetContext, _branches, _schur, elementary, hall_littlewood, homogeneous, monomial, schur
 
 BENCH_MAX_PARTITIONS = 80
 BENCH_MAX_ALPHABET = 8
@@ -227,6 +227,7 @@ def _bench(args) -> tuple[int, str]:
             if not 1 <= args.size <= BENCH_MAX_ALPHABET:
                 raise ValueError(f"hall-littlewood bench alphabet must be in 1..{BENCH_MAX_ALPHABET}")
             lam = YoungDiagram((3, 2, 1)) if args.size >= 3 else YoungDiagram((1,) * args.size)
+            _branches.cache_clear()  # a full build: every shape's branches tabulated anew
             start = time.perf_counter()
             poly = hall_littlewood(lam, AlphabetContext(args.size))
         else:

@@ -14,7 +14,11 @@ the latter carrying the deformation parameter Q, and ``miwa_push`` moves a
 t-polynomial there via t_j -> (1/j) * (x1^j + ... + xN^j).  All three are
 symmetric: their weakly decreasing exponent vectors are built letter by letter
 (``_peel``) and spread over their orbits once per vector, each distinct
-exponent on every combination of the letters still free (``_orbits``).
+exponent on every combination of the letters still free (``_orbits``).  The
+letter loop tabulates each state's branches once per call, as they do not
+depend on the letter; Hall-Littlewood's horizontal strips and their psi
+factors also live in ``_branches``, one entry per shape, the last
+HL_BRANCH_CACHE_SIZE shapes used.  x1 needs no table: it takes what is left.
 Kernel loops run on ints; each kernel makes one ``Fraction`` per output
 coefficient and hands its canonical terms to ``Polynomial._raw``, not
 ``Polynomial(...)``."""
@@ -48,6 +52,12 @@ __all__ = [
 # or 0 (hl-build); an LRU smaller than a repeated sweep's working set would
 # evict each entry before its next use.
 SCHUR_CACHE_SIZE = 128
+
+# Shapes whose Hall-Littlewood branches ``_branches`` keeps.  The largest
+# verify sweep, every shape of at most 8 boxes in 3 and 4 letters, tabulates
+# 53 shapes, and (4,3,2,1) in 8 letters the 42 inside it; an entry holds one
+# small tuple per horizontal strip, 2^rows of them for distinct parts.
+HL_BRANCH_CACHE_SIZE = 128
 
 
 class _Context:
@@ -309,30 +319,49 @@ def monomial(lam: YoungDiagram, alphabet: AlphabetContext) -> Polynomial:
     return _orbits({(0, lam.parts): 1}, alphabet.variables())
 
 
-def _peel(layer: dict, n: int, step) -> dict:
+def _peel(layer: dict, n: int, branches, weight) -> dict:
     """The weakly decreasing terms {(Q power, exponent vector): int} of a
     symmetric polynomial in x1..xn, peeling one letter per step, xn first.
 
     ``layer`` maps a state, what is left for the letters not yet peeled, to
-    {(Q power, exponents of the letters peeled so far): int}; ``step(state,
-    k)`` yields (next state, xk's power, {Q power: int}), only () after x1.
-    A term grows only by a power at least the last one peeled, so only the
-    weakly decreasing vectors, all a symmetric polynomial needs, survive.
+    {(Q power, exponents of the letters peeled so far): int}.  The branches
+    of a state do not depend on the letter: ``branches(state)`` gives every
+    (next state, the letter's power, factor as (Q power, int) pairs, rows the
+    next state needs), and each state's branches are tabulated once per call.
+    Letter xk keeps the branches whose next state fits in k-1 letters.  x1
+    takes what is left: a state goes to () with power ``weight(state)`` and
+    factor 1, so no state is tabulated for the last letter alone.  A term
+    grows only by a power at least the last one peeled, so only the weakly
+    decreasing vectors, all a symmetric polynomial needs, survive.
     """
-    for k in range(n, 0, -1):
+    table: dict = {}
+    for k in range(n, 1, -1):
         nxt: dict = {}
         for state, above in layer.items():
-            for new, power, factor in step(state, k):
+            options = table.get(state)
+            if options is None:
+                options = table[state] = branches(state)
+            for new, power, factor, rows in options:
+                if rows >= k:
+                    continue
                 out = nxt.setdefault(new, {})
                 for (q, alpha), c in above.items():
                     if alpha and power < alpha[0]:
                         continue
                     alpha = (power,) + alpha
-                    for dq, dc in factor.items():
+                    for dq, dc in factor:
                         key = (q + dq, alpha)
                         out[key] = out.get(key, 0) + c * dc
         layer = nxt
-    return layer.get((), {})
+    out = {}
+    for state, above in layer.items():
+        power = weight(state)
+        for (q, alpha), c in above.items():
+            if alpha and power < alpha[0]:
+                continue
+            key = (q, (power,) + alpha)
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 def _strip_factor(lam: tuple[int, ...], mu: tuple[int, ...]) -> dict[int, int]:
@@ -357,6 +386,21 @@ def _strip_factor(lam: tuple[int, ...], mu: tuple[int, ...]) -> dict[int, int]:
     return factor
 
 
+@lru_cache(maxsize=HL_BRANCH_CACHE_SIZE)
+def _branches(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int, tuple[tuple[int, int], ...], int], ...]:
+    """``_peel``'s branches of the shape mu for ``hall_littlewood``: each nu
+    with mu/nu a horizontal strip, as (nu, |mu| - |nu|, psi_{mu/nu}(Q) as
+    (Q power, coeff) pairs, rows of nu).  Memoized per shape, the last
+    HL_BRANCH_CACHE_SIZE shapes used, since sub-shapes recur across letters,
+    calls and partitions."""
+    size = sum(mu)
+    out = []
+    for nu in product(*(range(low, high + 1) for low, high in zip(mu[1:] + (0,), mu))):
+        nu = nu[:-1] if nu and not nu[-1] else nu
+        out.append((nu, size - sum(nu), tuple(_strip_factor(mu, nu).items()), len(nu)))
+    return tuple(out)
+
+
 def hall_littlewood(lam: YoungDiagram, alphabet: AlphabetContext, workers: int = 1) -> Polynomial:
     """Hall-Littlewood polynomial P_lam(x1..xN; Q).
 
@@ -367,9 +411,9 @@ def hall_littlewood(lam: YoungDiagram, alphabet: AlphabetContext, workers: int =
 
     summed over every mu with lam/mu a horizontal strip and at most n-1 rows.
     ``_peel`` unrolls it from lam in N letters to P_() = 1 in none, the shape
-    being the state.  Every coefficient is an integer polynomial in Q, so no
-    division happens.  At Q=0 this degenerates to the Schur polynomial and at
-    Q=1 to the monomial one.  ``workers`` must be a positive int and is
+    being the state and ``_branches`` its strips.  Every coefficient is an
+    integer polynomial in Q, so no division happens.  At Q=0 this degenerates
+    to the Schur polynomial and at Q=1 to the monomial one.  ``workers`` must be a positive int and is
     otherwise ignored: the build runs in the calling thread.
     """
     n = alphabet.count
@@ -377,13 +421,7 @@ def hall_littlewood(lam: YoungDiagram, alphabet: AlphabetContext, workers: int =
         raise ValueError(f"partition has {lam.rows} rows but the alphabet only {n} variables")
     if type(workers) is not int or workers < 1:
         raise ValueError("workers must be positive")
-
-    def step(mu, k):  # each nu with mu/nu a horizontal strip and fewer than k rows
-        for nu in product(*(range(low, high + 1) for low, high in zip(mu[1:] + (0,), mu))):
-            nu = nu[:-1] if nu and not nu[-1] else nu
-            if len(nu) < k:
-                yield nu, sum(mu) - sum(nu), _strip_factor(mu, nu)
-    return _orbits(_peel({lam.parts: {(0, ()): 1}}, n, step), alphabet.variables())
+    return _orbits(_peel({lam.parts: {(0, ()): 1}}, n, _branches, sum), alphabet.variables())
 
 
 def miwa_push(p: Polynomial, alphabet: AlphabetContext) -> Polynomial:
@@ -393,18 +431,25 @@ def miwa_push(p: Polynomial, alphabet: AlphabetContext) -> Polynomial:
     if bad:
         raise ValueError(f"polynomial must use only t-variables, found {min(bad).name}")
 
-    def step(mono, k):
+    def branches(mono):
         # By t_j = t_j(x1..x_{k-1}) + xk^j / j, xk takes b_j of t_j's e_j factors
-        # with weight prod_j binomial(e_j, b_j); x1 takes all the rest.
-        for takes in product(*(range(0 if k > 1 else e, e + 1) for _, e in mono)):
-            rest = tuple((v, e - b) for (v, e), b in zip(mono, takes) if e > b)
-            power = sum(v.index * b for (v, _), b in zip(mono, takes))
-            yield rest, power, {0: prod(comb(e, b) for (_, e), b in zip(mono, takes))}
+        # with weight prod_j binomial(e_j, b_j), one t_j after another.  What
+        # is left lives in any nonempty alphabet, and x1 takes it all.
+        out = [((), 0, 1)]
+        for v, e in mono:
+            j = v.index
+            out = [(rest + ((v, e - b),) if b < e else rest, power + j * b, c * comb(e, b))
+                   for rest, power, c in out for b in range(e + 1)]
+        return [(rest, power, ((0, c),), 0) for rest, power, c in out]
+
+    def weight(mono):  # x1's power: the Miwa weight sum_j j * e_j
+        return sum(v.index * e for v, e in mono)
+
     # The factors 1/j of t_j join each coefficient's denominator; every source
     # monomial then enters as an int over their common multiple den.
     scale = {mono: c.denominator * prod(v.index ** e for v, e in mono)
              for mono, c in p._terms.items()}
     den = lcm(*scale.values())
     layer = {mono: {(0, ()): c.numerator * den // scale[mono]} for mono, c in p._terms.items()}
-    dominant = _peel(layer, alphabet.count, step)
+    dominant = _peel(layer, alphabet.count, branches, weight)
     return _orbits({key: Fraction(c, den) for key, c in dominant.items() if c}, alphabet.variables())

@@ -7,7 +7,7 @@ import pytest
 
 from schurkit import canonical_text, from_term_list, verify
 from schurkit.cli import build_parser, main, run
-from schurkit.symfun import _schur
+from schurkit.symfun import _branches, _schur
 
 S321 = "t1**6/45 - t1**3*t3/3 + t1*t5 - t3**2"
 M321 = (
@@ -271,6 +271,18 @@ class TestBenchCommand:
         assert (after.misses, after.currsize) == (info.misses, info.currsize)
         _schur((7, 6, 5, 4, 3, 2, 1), ())
         assert _schur.cache_info().misses == info.misses + 1
+
+    def test_hall_littlewood_times_a_full_build(self):
+        """bench hall-littlewood empties the branch table before its timer,
+        so a repeat tabulates every shape again and reads none left by the
+        first run: each build looks a shape up once, so a warm repeat would
+        count only hits."""
+        assert run(["bench", "hall-littlewood", "5"])[0] == 0
+        first = _branches.cache_info()
+        assert run(["bench", "hall-littlewood", "5"])[0] == 0
+        again = _branches.cache_info()
+        assert again.misses == first.misses > 0
+        assert again.hits == first.hits == 0
 
     def test_size_bounds(self, capsys):
         assert run(["bench", "partitions", "81"])[0] == 2

@@ -89,6 +89,7 @@ MODULE_CACHES = [
     symfun._t_pair,
     symfun._t_pairs,
     symfun._schur,
+    symfun._branches,
     characters._character,
     characters._column,
     cli.build_parser,
@@ -103,6 +104,7 @@ def cached_outputs():
         canonical_text(symfun.elementary(12)),
         cli.run(["schur", "4,2", "--json"]),
         cli.run(["character", "4,2", "--cycles", "3:2"]),
+        cli.run(["hall-littlewood", "3,2,1", "--vars", "5"]),
     )
 
 
@@ -113,3 +115,12 @@ def test_clearing_the_module_caches_keeps_the_bytes():
         cached.cache_clear()
         assert cached.cache_info().currsize == 0, cached.__name__
     assert cached_outputs() == before
+
+
+def test_memos_of_unbounded_domains_are_bounded():
+    """The Schur memo and the Hall-Littlewood branch table take any shape, so
+    each keeps at most its module constant of entries."""
+    assert symfun._schur.cache_info().maxsize == symfun.SCHUR_CACHE_SIZE
+    assert symfun._branches.cache_info().maxsize == symfun.HL_BRANCH_CACHE_SIZE
+    for cached in (symfun._schur, symfun._branches):
+        assert type(cached.cache_info().maxsize) is int, cached.__name__

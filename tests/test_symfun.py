@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import pickle
+import random
 import threading
 import time
 import weakref
@@ -36,7 +37,7 @@ from schurkit import (
     x_var,
 )
 from schurkit.cli import run
-from schurkit.symfun import SCHUR_CACHE_SIZE, _schur, _t_pairs
+from schurkit.symfun import HL_BRANCH_CACHE_SIZE, SCHUR_CACHE_SIZE, _branches, _schur, _t_pairs
 from schurkit.verify import _at_q_zero_and_one, check_degenerations
 
 from oracles import (dp_partition_counts, frobenius_character, hall_littlewood_numerator,
@@ -685,6 +686,25 @@ class TestMonomial:
 class TestHallLittlewood:
     def test_single_box(self):
         assert hall_littlewood(YoungDiagram((1,)), AlphabetContext(2)) == X[1] + X[2]
+
+    def test_branch_table_is_order_independent(self):
+        """Builds over a fixed shuffle of every shape of 13 and 14 boxes and at
+        most 3 rows, each in 3 and in 4 letters, so that one sub-shape comes
+        up under several letter counts, read the branch table as the earlier
+        builds left it, and overflow its bound.  Each matches a build made
+        right after the table was emptied."""
+        pairs = [(lam, n) for boxes in (13, 14) for lam in partitions_of(boxes)
+                 if lam.rows <= 3 for n in (3, 4)]
+        random.Random(5).shuffle(pairs)
+        cold = {}
+        for lam, n in pairs:
+            _branches.cache_clear()
+            cold[lam.parts, n] = canonical_text(hall_littlewood(lam, AlphabetContext(n)))
+        _branches.cache_clear()
+        for lam, n in pairs:
+            assert canonical_text(hall_littlewood(lam, AlphabetContext(n))) == cold[lam.parts, n]
+        info = _branches.cache_info()
+        assert info.currsize == HL_BRANCH_CACHE_SIZE < info.misses  # the LRU evicted
 
     def test_staircase_fixture(self):
         got = hall_littlewood(YoungDiagram((3, 2, 1)), AlphabetContext(3))
