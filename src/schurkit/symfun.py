@@ -335,12 +335,15 @@ def _peel(layer: dict, n: int, branches, weight) -> dict:
     decreasing vectors, all a symmetric polynomial needs, survive.
     """
     table: dict = {}
-    for k in range(n, 1, -1):
+    for k in range(n, 0, -1):
         nxt: dict = {}
         for state, above in layer.items():
-            options = table.get(state)
-            if options is None:
-                options = table[state] = branches(state)
+            if k == 1:
+                options = (((), weight(state), ((0, 1),), 0),)
+            else:
+                options = table.get(state)
+                if options is None:
+                    options = table[state] = branches(state)
             for new, power, factor, rows in options:
                 if rows >= k:
                     continue
@@ -353,15 +356,7 @@ def _peel(layer: dict, n: int, branches, weight) -> dict:
                         key = (q + dq, alpha)
                         out[key] = out.get(key, 0) + c * dc
         layer = nxt
-    out = {}
-    for state, above in layer.items():
-        power = weight(state)
-        for (q, alpha), c in above.items():
-            if alpha and power < alpha[0]:
-                continue
-            key = (q, (power,) + alpha)
-            out[key] = out.get(key, 0) + c
-    return out
+    return layer.get((), {})
 
 
 def _strip_factor(lam: tuple[int, ...], mu: tuple[int, ...]) -> dict[int, int]:

@@ -10,7 +10,7 @@ import time
 import weakref
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -687,6 +687,15 @@ class TestHallLittlewood:
     def test_single_box(self):
         assert hall_littlewood(YoungDiagram((1,)), AlphabetContext(2)) == X[1] + X[2]
 
+    def test_last_letter_reads_no_table(self):
+        """x1 takes the one row left whole: a build tabulates only the shapes
+        met at the letters xN..x2."""
+        _branches.cache_clear()
+        assert hall_littlewood(YoungDiagram((3,)), AlphabetContext(1)) == X[1] ** 3
+        assert _branches.cache_info().currsize == 0
+        hall_littlewood(YoungDiagram((2, 1)), AlphabetContext(2))
+        assert _branches.cache_info().currsize == 1
+
     def test_branch_table_is_order_independent(self):
         """Builds over a fixed shuffle of every shape of 13 and 14 boxes and at
         most 3 rows, each in 3 and in 4 letters, so that one sub-shape comes
@@ -860,6 +869,17 @@ class TestHallLittlewood:
 
 
 class TestMiwaPush:
+    def test_last_letter_takes_the_rest_without_a_table(self, monkeypatch):
+        """x1 takes every factor t_j left, so a monomial first met at the
+        last letter gets no table of takes: in one letter no binomial weight
+        is computed."""
+        h3, s321 = homogeneous(3), schur(YoungDiagram((3, 2, 1)))
+        weights = []
+        monkeypatch.setattr("schurkit.symfun.comb", lambda e, b: weights.append((e, b)) or comb(e, b))
+        assert miwa_push(h3, AlphabetContext(1)) == X[1] ** 3
+        assert miwa_push(s321, AlphabetContext(1)) == Polynomial.zero()
+        assert weights == []
+
     def test_power_sum_images(self):
         ctx = AlphabetContext(3)
         assert miwa_push(T[1], ctx) == X[1] + X[2] + X[3]
