@@ -18,7 +18,8 @@ import time
 from .characters import character
 from .partitions import ConjugacyClass, YoungDiagram, partitions_of
 from .polyalgebra import canonical_text, to_term_list
-from .symfun import AlphabetContext, _branches, _schur, elementary, hall_littlewood, homogeneous, monomial, schur
+from .symfun import (AlphabetContext, _branches, _schur, elementary, hall_littlewood, homogeneous,
+                     monomial, schur)
 
 BENCH_MAX_PARTITIONS = 80
 BENCH_MAX_ALPHABET = 8

@@ -55,8 +55,8 @@ SCHUR_CACHE_SIZE = 128
 
 # Shapes whose Hall-Littlewood branches ``_branches`` keeps.  The largest
 # verify sweep, every shape of at most 8 boxes in 3 and 4 letters, tabulates
-# 53 shapes, and (4,3,2,1) in 8 letters the 42 inside it; an entry holds one
-# small tuple per horizontal strip, 2^rows of them for distinct parts.
+# 53 shapes, and (4,3,2,1) in 8 letters the 42 inside it.  An entry holds one
+# small tuple per horizontal strip, prod_i (mu_i - mu_{i+1} + 1) of them.
 HL_BRANCH_CACHE_SIZE = 128
 
 
@@ -382,7 +382,7 @@ def _strip_factor(lam: tuple[int, ...], mu: tuple[int, ...]) -> dict[int, int]:
 
 
 @lru_cache(maxsize=HL_BRANCH_CACHE_SIZE)
-def _branches(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int, tuple[tuple[int, int], ...], int], ...]:
+def _branches(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int, tuple, int], ...]:
     """``_peel``'s branches of the shape mu for ``hall_littlewood``: each nu
     with mu/nu a horizontal strip, as (nu, |mu| - |nu|, psi_{mu/nu}(Q) as
     (Q power, coeff) pairs, rows of nu).  Memoized per shape, the last
@@ -408,8 +408,9 @@ def hall_littlewood(lam: YoungDiagram, alphabet: AlphabetContext, workers: int =
     ``_peel`` unrolls it from lam in N letters to P_() = 1 in none, the shape
     being the state and ``_branches`` its strips.  Every coefficient is an
     integer polynomial in Q, so no division happens.  At Q=0 this degenerates
-    to the Schur polynomial and at Q=1 to the monomial one.  ``workers`` must be a positive int and is
-    otherwise ignored: the build runs in the calling thread.
+    to the Schur polynomial and at Q=1 to the monomial one.  ``workers`` must
+    be a positive int and is otherwise ignored: the build runs in the calling
+    thread.
     """
     n = alphabet.count
     if lam.rows > n:

@@ -120,7 +120,6 @@ def test_clearing_the_module_caches_keeps_the_bytes():
 def test_memos_of_unbounded_domains_are_bounded():
     """The Schur memo and the Hall-Littlewood branch table take any shape, so
     each keeps at most its module constant of entries."""
-    assert symfun._schur.cache_info().maxsize == symfun.SCHUR_CACHE_SIZE
-    assert symfun._branches.cache_info().maxsize == symfun.HL_BRANCH_CACHE_SIZE
-    for cached in (symfun._schur, symfun._branches):
-        assert type(cached.cache_info().maxsize) is int, cached.__name__
+    for cached, bound in ((symfun._schur, symfun.SCHUR_CACHE_SIZE),
+                          (symfun._branches, symfun.HL_BRANCH_CACHE_SIZE)):
+        assert type(bound) is int and cached.cache_info().maxsize == bound, cached.__name__
