@@ -97,8 +97,15 @@ class TestKnownTables:
 
     def test_matches_frozen_golden(self):
         """Digests of the full tables for n <= 14, frozen from the recursive
-        border-strip build, from one character per call and from columns."""
-        golden = json.loads(CHARACTER_GOLDEN.read_text())["cases"]
+        border-strip build, from one character per call and from columns;
+        and single characters with long tails of 1-cycles, frozen from the
+        build that stripped one 1-cycle at a time."""
+        frozen = json.loads(CHARACTER_GOLDEN.read_text())
+        for case in frozen["tails"]:
+            lam = YoungDiagram([p for p, count in case["shape"] for _ in range(count)])
+            cc = ConjugacyClass(dict(map(tuple, case["cycles"])))
+            assert str(character(lam, cc)) == case["value"], (case["shape"], case["cycles"])
+        golden = frozen["cases"]
         assert set(golden) == {str(n) for n in range(15)}
         for n in range(15):
             classes = classes_of(n)
