@@ -1,21 +1,23 @@
 """Symmetric-group characters by the Murnaghan-Nakayama rule.
 
-``character(shape, cycle_type)`` peels one border strip per cycle, largest
-cycles first, weighting each removal by (-1)^height with height = rows
-occupied minus one.  Shapes are beta-sets (first-column hook lengths) packed
-into an int, where stripping a hook of length r moves one set bit down by r
-onto a clear bit; the cycles are consumed in one loop, layer by layer.
-``_column(parts)``, behind ``schur_via_characters``, gives a shape's whole
-column of characters from one walk over the cycle types with the same strip
-step: cycle types that share leading cycles share their layers, and a rest of
-1-cycles is closed in one step by the standard-tableau counts of the shapes
-left.
+``character(shape, cycle_type)`` peels one border strip per cycle of length
+at least 2, largest cycles first, weighting each removal by (-1)^height with
+height = rows occupied minus one.  Shapes are beta-sets (first-column hook
+lengths) packed into an int, where stripping a hook of length r moves one set
+bit down by r onto a clear bit; the cycles are consumed in one loop, layer by
+layer.  ``_column(parts)``, behind ``schur_via_characters``, gives a shape's
+whole column of characters from one walk over the cycle types with the same
+strip step: cycle types that share leading cycles share their layers.
+
+Both close their 1-cycles by one tail rule: a layer's character on a rest of
+k 1-cycles is sum count * f^nu, f^nu the number of standard tableaux of the
+shape nu left, counted by ``_tableaux`` from the hook-length formula.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import factorial, prod
+from math import factorial, perm
 
 from .partitions import ConjugacyClass, YoungDiagram
 
@@ -54,14 +56,63 @@ def _strip(layer: dict[int, int], r: int) -> dict[int, int]:
     return nxt
 
 
+def _tableaux(beta: int) -> int:
+    """f^nu for the shape nu with beta-set beta: k! over the product of the
+    hook lengths of nu's k boxes (Macdonald I.7, Stanley EC2 7.21).
+
+    A set bit b above a clear bit c is one box, of hook length b - c, so a
+    run of set bits above a run of clear bits is a block of boxes whose hooks
+    are min(rows, columns) ranges of max(rows, columns) consecutive lengths.
+    The ranges and k! = 1 * 2 * ... * k cancel in one sweep over the lengths
+    where their count changes, one ``perm`` per stretch of constant count.
+    Zero rows, the low run of set bits, have no clear bit below them and are
+    shifted out first.
+    """
+    rest = beta >> (~beta & beta + 1).bit_length() - 1
+    if not rest:
+        return 1  # the empty shape, as after a class with no 1-cycles
+    steps = {1: 1}  # length: change in its count, k! counted +1 and hooks -1
+    get = steps.get
+    below = []  # (highest bit, length) of each run of clear bits passed
+    bit = width = k = 0
+    while rest:
+        clear = (rest & -rest).bit_length() - 1
+        rest >>= clear
+        rows = (~rest & rest + 1).bit_length() - 1
+        rest >>= rows
+        below.append((bit + clear - 1, clear))
+        bit += clear
+        width += clear
+        k += rows * width
+        for high, cols in below:
+            n, m = (rows, cols) if rows <= cols else (cols, rows)
+            for h in range(bit - high, bit - high + n):  # a range of m lengths from h
+                steps[h] = get(h, 0) - 1
+                steps[h + m] = get(h + m, 0) + 1
+        bit += rows
+    steps[k + 1] = get(k + 1, 0) - 1
+    num = den = 1
+    count = last = 0
+    for h in sorted(steps):
+        if count > 0:  # 1, as only k! counts up
+            num *= perm(h - 1, h - last)
+        elif count:
+            den *= perm(h - 1, h - last) ** -count
+        count += steps[h]
+        last = h
+    return num // den
+
+
 @cache
 def _character(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    """One layer per cycle; only the empty shape's beta-set survives the last
-    cycle."""
+    """One layer per cycle >= 2, in the order given; 1-cycles are skipped,
+    and the boxes left are closed by the standard-tableau count."""
+    if 1 in cycles:
+        cycles = tuple(r for r in cycles if r > 1)
     layer = {_beta_set(parts): 1}
     for r in cycles:
         layer = _strip(layer, r)
-    return sum(layer.values())
+    return sum(count * _tableaux(beta) for beta, count in layer.items() if count)
 
 
 @cache
@@ -71,10 +122,8 @@ def _column(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     One walk over the cycle types: a node is a prefix of cycles >= 2 with its
     layer, and a child strips one more cycle, no larger than the last.  Padded
     with 1-cycles up to the weight, a prefix is a cycle type whose character is
-    sum count * f^nu over its layer, f^nu the number of standard tableaux of
-    the shape nu with beta-set b_1 < ... < b_m and k boxes, which is
-    k! * prod_{i<j} (b_j - b_i) / prod_i b_i!.  An empty layer has no nonzero
-    character below it.
+    sum count * f^nu over its layer.  A layer whose counts are all zero has no
+    nonzero character below it, so its node has no children.
     """
     tableaux: dict[int, int] = {}  # f^nu by beta-set
     column = {}
@@ -85,15 +134,13 @@ def _column(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         for beta, count in layer.items():
             f = tableaux.get(beta)
             if f is None:
-                b = [i for i in range(beta.bit_length()) if beta >> i & 1]
-                gaps = prod(y - x for i, x in enumerate(b) for y in b[i + 1:])
-                f = tableaux[beta] = factorial(k) * gaps // prod(map(factorial, b))
+                f = tableaux[beta] = _tableaux(beta)
             chi += count * f
         if chi:
             column[prefix + (1,) * k] = chi
         for r in range(min(prefix[-1] if prefix else k, k), 1, -1):
             nxt = _strip(layer, r)
-            if nxt:
+            if any(nxt.values()):
                 stack.append((prefix + (r,), nxt, k - r))
     return column
 
@@ -104,7 +151,12 @@ def character(shape: YoungDiagram, cycle_type: ConjugacyClass) -> int:
         raise ValueError(
             f"shape has {shape.boxes} boxes but the cycle type has weight {cycle_type.weight}"
         )
-    return _character(shape.parts, cycle_type.cycles())
+    mult = cycle_type.multiplicities
+    cycles: list[int] = []  # as cycle_type.cycles(), less the 1-cycles the tail rule closes
+    for j in sorted(mult, reverse=True):
+        if j > 1:
+            cycles += [j] * mult[j]
+    return _character(shape.parts, tuple(cycles))
 
 
 def dimension(shape: YoungDiagram) -> int:

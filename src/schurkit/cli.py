@@ -123,6 +123,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _digits(n: int) -> str:
+    """Every digit of n, also past the digit limit of CPython's int-to-str
+    conversion (sys.get_int_max_str_digits), where str() raises."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # only past the limit
+
+        return str(Decimal(n))
+
+
 def _emit_polynomial(args, lam, mu, poly) -> str:
     if not args.json:
         return canonical_text(poly)
@@ -191,7 +202,7 @@ def run(argv: list[str]) -> tuple[int, str]:
         if args.command == "character":
             shape = parse_parts(args.parts)
             cycles = parse_cycles(args.cycles)
-            return 0, str(character(shape, cycles))
+            return 0, _digits(character(shape, cycles))
 
         if args.command == "verify":
             from .verify import run_scope  # verify loads here, not with this module

@@ -1,15 +1,15 @@
 import hashlib
 import json
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
 from schurkit import (ConjugacyClass, YoungDiagram, character, dimension, partitions_of,
                       schur_via_characters, z_order)
-from schurkit import symfun
-from schurkit.characters import _character, _column
+from schurkit import characters, symfun
+from schurkit.characters import _beta_set, _character, _column, _tableaux
 from schurkit.verify import check_characters
 
 from oracles import frobenius_character
@@ -220,6 +220,56 @@ class TestColumn:
         before = _column.cache_info().currsize
         assert character(YoungDiagram((1000,)), ConjugacyClass({1: 1000})) == 1
         assert _column.cache_info().currsize == before
+
+
+class TestTail:
+    def test_tableaux_is_the_hook_length_dimension(self):
+        """The tail rule's f^nu equals dimension's hook-length product on every
+        shape of at most 12 boxes, zero rows or not, and on wide shapes."""
+        for n in range(13):
+            for lam in partitions_of(n):
+                for zeros in (0, 1, 4):
+                    assert _tableaux(_beta_set(lam.parts + (0,) * zeros)) == dimension(lam), lam.parts
+        for parts in ((40, 40, 20), (30,) * 3 + (1,) * 25, (9, 9, 7, 7, 7, 2, 2, 1)):
+            assert _tableaux(_beta_set(parts)) == dimension(YoungDiagram(parts)), parts
+
+    def test_wide_shapes_in_closed_form(self):
+        assert _tableaux(_beta_set((10**6,))) == 1
+        assert _tableaux(_beta_set((1,) * 3000)) == 1
+        assert _tableaux(_beta_set((500,) + (1,) * 500)) == comb(999, 500)
+        assert _tableaux(_beta_set((3000, 3000))) == comb(6000, 3000) // 3001
+        assert _tableaux(_beta_set((2,) * 3000)) == comb(6000, 3000) // 3001
+
+    def test_fixed_points_stay_out_of_the_cache_key(self):
+        """A class of a thousand fixed points is cached under no cycles at
+        all: the 1-cycles are closed by the tail rule, not stripped."""
+        _character.cache_clear()
+        assert character(YoungDiagram((1000,)), ConjugacyClass({1: 1000})) == 1
+        info = _character.cache_info()
+        assert info.currsize == 1
+        assert _character((1000,), ()) == 1
+        assert _character.cache_info().hits == info.hits + 1
+
+    def test_one_cycles_given_to_the_cache_are_skipped(self, monkeypatch):
+        """Callers that pass 1-cycles, as the verify sweep does, get the same
+        value as without them, wherever they stand, and no 1-cycle is
+        stripped."""
+        strip = characters._strip
+
+        def strip_no_one_cycle(layer, r):
+            assert r > 1, "a 1-cycle was stripped"
+            return strip(layer, r)
+
+        monkeypatch.setattr(characters, "_strip", strip_no_one_cycle)
+        _character.cache_clear()
+        for n in range(9):
+            for lam in partitions_of(n):
+                for cc in classes_of(n):
+                    bare = tuple(r for r in cc.cycles() if r > 1)
+                    ones = (1,) * (n - sum(bare))
+                    want = _character(lam.parts, bare)
+                    assert _character(lam.parts, ones + bare) == want
+                    assert _character(lam.parts, bare + ones) == want
 
 
 class TestDimension:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from math import comb
 
 import pytest
 
@@ -455,6 +457,28 @@ class TestLongInputs:
 
     def test_eleven_hundred_letters(self):
         assert run(["hall-littlewood", "", "--vars", "1100"]) == (0, "1")
+
+    def test_digits_past_the_int_to_str_limit(self):
+        """f^(8000,8000), a Catalan number of 4811 digits, is past CPython's
+        default limit of 4300 digits for str(int); the CLI prints it whole."""
+        want = comb(16000, 8000) // 8001
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if 0 < limit < 4811:  # as by default: str() raises, so the fallback prints
+            with pytest.raises(ValueError):
+                str(want)
+        assert run(["character", "8000,8000", "--cycles", "1:16000"]) == (0, str(Decimal(want)))
+
+    def test_long_tails_in_a_process(self, child_env):
+        """Fixed points are closed in one step, not one strip each: a row of
+        a million boxes, a hook of a thousand and two rows of three thousand
+        finish well inside the budget in a fresh process."""
+        hook = ",".join(["500"] + ["1"] * 500)
+        for argv, want in ((["1000000", "--cycles", "1:1000000"], 1),
+                           ([hook, "--cycles", "1:1000"], comb(999, 500)),
+                           (["3000,3000", "--cycles", "1:6000"], comb(6000, 3000) // 3001)):
+            proc = subprocess.run([sys.executable, "-m", "schurkit.cli", "character", *argv],
+                                  capture_output=True, text=True, env=child_env, timeout=20)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{want}\n", ""), argv[0][:10]
 
     def test_thousand_fixed_points_in_a_process(self, child_env):
         proc = subprocess.run(
