@@ -17,6 +17,7 @@ shape nu left, counted by ``_tableaux`` from the hook-length formula.
 from __future__ import annotations
 
 from functools import cache
+from itertools import groupby
 from math import factorial, perm
 
 from .partitions import ConjugacyClass, YoungDiagram
@@ -33,9 +34,14 @@ def z_order(mu: ConjugacyClass) -> int:
 
 
 def _beta_set(parts: tuple[int, ...]) -> int:
-    """Bit parts[i] + m-1-i for each of the m rows."""
-    m = len(parts)
-    return sum(1 << (p + m - 1 - i) for i, p in enumerate(parts))
+    """Bit parts[i] + m-1-i for each of the m rows, set one block per run of
+    equal parts: r parts p from row i are the r bits from p + m-i-r up."""
+    m, i, beta = len(parts), 0, 0
+    for p, run in groupby(parts):
+        r = len(list(run))
+        i += r
+        beta |= ((1 << r) - 1) << (p + m - i)
+    return beta
 
 
 def _strip(layer: dict[int, int], r: int) -> dict[int, int]:

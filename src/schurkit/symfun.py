@@ -14,14 +14,14 @@ the latter carrying the deformation parameter Q, and ``miwa_push`` moves a
 t-polynomial there via t_j -> (1/j) * (x1^j + ... + xN^j).  All three are
 symmetric: their weakly decreasing exponent vectors are built letter by letter
 (``_peel``) and spread over their orbits once per vector, each distinct
-exponent on every combination of the letters still free (``_orbits``).  The
-letter loop tabulates each state's branches once per call, as they do not
-depend on the letter; Hall-Littlewood's horizontal strips and their psi
-factors also live in ``_branches``, one entry per shape, the last
-HL_BRANCH_CACHE_SIZE shapes used.  x1 needs no table: it takes what is left.
-Kernel loops run on ints; each kernel makes one ``Fraction`` per output
-coefficient and hands its canonical terms to ``Polynomial._raw``, not
-``Polynomial(...)``."""
+exponent on every combination of the letters still free (``_orbits``).  A
+state's branches do not depend on the letter, so each caller tabulates them
+once: Hall-Littlewood's horizontal strips and their psi factors live in
+``_branches``, one entry per shape, the last HL_BRANCH_CACHE_SIZE shapes used,
+and ``miwa_push``'s takes in a cache made per call.  x1 needs no table: it
+takes what is left.  Kernel loops run on ints; each kernel makes one
+``Fraction`` per output coefficient and hands its canonical terms to
+``Polynomial._raw``, not ``Polynomial(...)``."""
 
 from __future__ import annotations
 
@@ -325,25 +325,20 @@ def _peel(layer: dict, n: int, branches, weight) -> dict:
 
     ``layer`` maps a state, what is left for the letters not yet peeled, to
     {(Q power, exponents of the letters peeled so far): int}.  The branches
-    of a state do not depend on the letter: ``branches(state)`` gives every
+    of a state do not depend on the letter: ``branches``, the caller's
+    tabulated function, is called once per state and letter and gives every
     (next state, the letter's power, factor as (Q power, int) pairs, rows the
-    next state needs), and each state's branches are tabulated once per call.
-    Letter xk keeps the branches whose next state fits in k-1 letters.  x1
-    takes what is left: a state goes to () with power ``weight(state)`` and
-    factor 1, so no state is tabulated for the last letter alone.  A term
-    grows only by a power at least the last one peeled, so only the weakly
-    decreasing vectors, all a symmetric polynomial needs, survive.
+    next state needs).  Letter xk keeps the branches whose next state fits
+    in k-1 letters.  x1 takes what is left: a state goes to () with power
+    ``weight(state)`` and factor 1, so no state is tabulated for the last
+    letter alone.  A term grows only by a power at least the last one peeled,
+    so only the weakly decreasing vectors, all a symmetric polynomial needs,
+    survive.
     """
-    table: dict = {}
     for k in range(n, 0, -1):
         nxt: dict = {}
         for state, above in layer.items():
-            if k == 1:
-                options = (((), weight(state), ((0, 1),), 0),)
-            else:
-                options = table.get(state)
-                if options is None:
-                    options = table[state] = branches(state)
+            options = branches(state) if k > 1 else (((), weight(state), ((0, 1),), 0),)
             for new, power, factor, rows in options:
                 if rows >= k:
                     continue
@@ -427,6 +422,7 @@ def miwa_push(p: Polynomial, alphabet: AlphabetContext) -> Polynomial:
     if bad:
         raise ValueError(f"polynomial must use only t-variables, found {min(bad).name}")
 
+    @cache
     def branches(mono):
         # By t_j = t_j(x1..x_{k-1}) + xk^j / j, xk takes b_j of t_j's e_j factors
         # with weight prod_j binomial(e_j, b_j), one t_j after another.  What

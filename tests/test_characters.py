@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
@@ -239,6 +240,30 @@ class TestTail:
         assert _tableaux(_beta_set((500,) + (1,) * 500)) == comb(999, 500)
         assert _tableaux(_beta_set((3000, 3000))) == comb(6000, 3000) // 3001
         assert _tableaux(_beta_set((2,) * 3000)) == comb(6000, 3000) // 3001
+
+    def test_beta_set_is_one_bit_per_row(self):
+        """The blocks per run of equal parts set the bit parts[i] + m-1-i of
+        each row, zero rows included."""
+        def per_row(parts):
+            m = len(parts)
+            return sum(1 << (p + m - 1 - i) for i, p in enumerate(parts))
+
+        for n in range(13):
+            for lam in partitions_of(n):
+                for zeros in range(4):
+                    parts = lam.parts + (0,) * zeros
+                    assert _beta_set(parts) == per_row(parts), parts
+        for parts in ((1,) * 1500, (500,) + (1,) * 500, (10**6,)):
+            assert _beta_set(parts) == per_row(parts), parts[:2]
+
+    def test_long_column_of_fixed_points_in_budget(self):
+        """(1^200000) at the identity builds its beta-set one block per run,
+        not one shifted int per row, which is quadratic in the rows."""
+        lam, cc = YoungDiagram((1,) * 200000), ConjugacyClass({1: 200000})
+        _character.cache_clear()
+        start = time.perf_counter()
+        assert character(lam, cc) == 1
+        assert time.perf_counter() - start < 0.25
 
     def test_fixed_points_stay_out_of_the_cache_key(self):
         """A class of a thousand fixed points is cached under no cycles at

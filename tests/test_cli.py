@@ -277,14 +277,14 @@ class TestBenchCommand:
     def test_hall_littlewood_times_a_full_build(self):
         """bench hall-littlewood empties the branch table before its timer,
         so a repeat tabulates every shape again and reads none left by the
-        first run: each build looks a shape up once, so a warm repeat would
-        count only hits."""
+        first run: a warm repeat would count no misses.  Hits are the shapes
+        a build meets again at a later letter, the same in both runs."""
         assert run(["bench", "hall-littlewood", "5"])[0] == 0
         first = _branches.cache_info()
         assert run(["bench", "hall-littlewood", "5"])[0] == 0
         again = _branches.cache_info()
         assert again.misses == first.misses > 0
-        assert again.hits == first.hits == 0
+        assert again.hits == first.hits
 
     def test_size_bounds(self, capsys):
         assert run(["bench", "partitions", "81"])[0] == 2

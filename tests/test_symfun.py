@@ -880,6 +880,19 @@ class TestMiwaPush:
         assert miwa_push(s321, AlphabetContext(1)) == Polynomial.zero()
         assert weights == []
 
+    def test_takes_are_expanded_once_per_call(self, monkeypatch):
+        """A monomial met at several letters expands its takes once per push:
+        the binomial weights of t1^3 and of s_(3,2,1) are computed as often in
+        9 letters as in 3."""
+        t13, s321 = T[1] ** 3, schur(YoungDiagram((3, 2, 1)))
+        weights = []
+        monkeypatch.setattr("schurkit.symfun.comb", lambda e, b: weights.append((e, b)) or comb(e, b))
+        for p, calls in ((t13, 9), (s321, 67)):
+            for n in (3, 4, 6, 9):
+                weights.clear()
+                miwa_push(p, AlphabetContext(n))
+                assert len(weights) == calls, (n, len(weights))
+
     def test_power_sum_images(self):
         ctx = AlphabetContext(3)
         assert miwa_push(T[1], ctx) == X[1] + X[2] + X[3]
