@@ -5,9 +5,12 @@ at least 2, largest cycles first, weighting each removal by (-1)^height with
 height = rows occupied minus one.  Shapes are beta-sets (first-column hook
 lengths) packed into an int, where stripping a hook of length r moves one set
 bit down by r onto a clear bit; the cycles are consumed in one loop, layer by
-layer.  ``_column(parts)``, behind ``schur_via_characters``, gives a shape's
-whole column of characters from one walk over the cycle types with the same
-strip step: cycle types that share leading cycles share their layers.
+layer, and ``_character`` keeps the last CHARACTER_CACHE_SIZE values asked
+for.  ``_column(parts)``, the miss path of ``schur_via_characters``'s memo,
+gives a shape's whole column of characters from one walk over the cycle types
+with the same strip step: cycle types that share leading cycles share their
+layers.  It keeps nothing between calls; the memo above it keeps the
+polynomial.
 
 Both close their 1-cycles by one tail rule: a layer's character on a rest of
 k 1-cycles is sum count * f^nu, f^nu the number of standard tableaux of the
@@ -16,13 +19,21 @@ shape nu left, counted by ``_tableaux`` from the hook-length formula.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from itertools import groupby
 from math import factorial, perm
 
 from .partitions import ConjugacyClass, YoungDiagram
 
 __all__ = ["z_order", "character", "dimension"]
+
+# Entries ``_character`` keeps, one per (shape, cycles >= 2) pair asked for.
+# One ``verify characters --max-boxes 8`` keys 985: 919 (lam, mu) pairs, the
+# sweep passing mu with its 1-cycles, and 66 identity-class calls.  One dealt
+# character-route benchmark round keys 1010, that sweep among them; the room
+# above holds the single characters asked for between sweeps.  An LRU smaller
+# than a repeated sweep would evict each entry before its next use.
+CHARACTER_CACHE_SIZE = 4096
 
 
 def z_order(mu: ConjugacyClass) -> int:
@@ -109,7 +120,7 @@ def _tableaux(beta: int) -> int:
     return num // den
 
 
-@cache
+@lru_cache(maxsize=CHARACTER_CACHE_SIZE)
 def _character(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     """One layer per cycle >= 2, in the order given; 1-cycles are skipped,
     and the boxes left are closed by the standard-tableau count."""
@@ -121,7 +132,6 @@ def _character(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     return sum(count * _tableaux(beta) for beta, count in layer.items() if count)
 
 
-@cache
 def _column(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """The shape's nonzero characters, {cycles, largest first: value}.
 

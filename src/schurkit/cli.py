@@ -177,7 +177,7 @@ def run(argv: list[str]) -> tuple[int, str]:
 
         if args.command == "list":
             return 0, "\n".join(
-                ",".join(str(p) for p in d.parts) for d in partitions_of(args.n)
+                ",".join([str(p) for p in d.parts]) for d in partitions_of(args.n)
             )
 
         if args.command in ("homogeneous", "elementary"):

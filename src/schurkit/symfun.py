@@ -8,7 +8,8 @@ times the coefficients of a minor of weight d, over bit-packed exponents that
 never carry) on the side with fewer rows: via omega, a tall shape is the same
 determinant in e_k on its conjugate.  One memo per shape pair holds them
 all, h_n = s_(n) and e_n = s_(1^n) included.  The character route, the
-independent oracle, sums only the nonzero characters of the shape's column;
+independent oracle, sums only the nonzero characters of the shape's column,
+in a memo of its own, one entry per shape;
 monomial and Hall-Littlewood polynomials live in a finite alphabet x1..xN,
 the latter carrying the deformation parameter Q, and ``miwa_push`` moves a
 t-polynomial there via t_j -> (1/j) * (x1^j + ... + xN^j).  All three are
@@ -46,11 +47,13 @@ __all__ = [
     "miwa_push",
 ]
 
-# Entries of the Schur memo of (skew) Schur polynomials, h_n = s_(n) and
-# e_n = s_(1^n) among them.  One dealt benchmark round fills 48 (schur-miwa),
-# 67 (character-route: the largest verify sweep, all shapes of at most 8 boxes)
-# or 0 (hl-build); an LRU smaller than a repeated sweep's working set would
-# evict each entry before its next use.
+# Entries of each Schur memo: the determinant's ``_schur``, of (skew) Schur
+# polynomials with h_n = s_(n) and e_n = s_(1^n) among them, and the character
+# route's ``_schur_via_characters``, of straight shapes.  One dealt benchmark
+# round fills 48 and 0 (schur-miwa), 67 and 74 (character-route: the largest
+# verify sweep, all 67 shapes of at most 8 boxes, plus 7 larger shapes built
+# by characters alone) or 0 and 0 (hl-build); an LRU smaller than a repeated
+# sweep's working set would evict each entry before its next use.
 SCHUR_CACHE_SIZE = 128
 
 # Shapes whose Hall-Littlewood branches ``_branches`` keeps.  The largest
@@ -263,12 +266,23 @@ def schur_via_characters(lam: YoungDiagram) -> Polynomial:
     Independent route: s_lam = sum_rho chi^lam(rho) p_rho / z_rho (Macdonald
     I (7.8)), in the t-coordinates chi^lam(rho) * prod_j t_j^{k_j} / k_j!,
     k_j the number of j-cycles of rho.  Only the nonzero characters carry
-    terms, and the shape's cached column (``_column``, one Murnaghan-Nakayama
-    walk per shape) holds exactly those.
+    terms, and the shape's column (``_column``, one Murnaghan-Nakayama walk)
+    holds exactly those.
+
+    Memoized per shape, the last SCHUR_CACHE_SIZE shapes used, in
+    ``_schur_via_characters`` (``cache_info()``, ``cache_clear()``), apart
+    from the determinant's memo so that the two routes stay independent.  A
+    hit returns the same Polynomial object, which is immutable.
     """
-    rows = _t_pairs(lam.boxes)
+    return _schur_via_characters(lam.parts)
+
+
+@lru_cache(maxsize=SCHUR_CACHE_SIZE)
+def _schur_via_characters(parts: tuple[int, ...]) -> Polynomial:
+    """``schur_via_characters`` on lam's parts; a miss walks ``_column``."""
+    rows = _t_pairs(sum(parts))
     terms = {}
-    for cycles, chi in _column(lam.parts).items():
+    for cycles, chi in _column(parts).items():
         mono, den = [], 1
         for j, run in groupby(reversed(cycles)):  # t_j ascending
             k = len(list(run))

@@ -199,28 +199,43 @@ class TestColumn:
                 assert _column(lam.parts) == {mu: x for mu, x in pointwise.items() if x}, lam.parts
 
     def test_character_route_schur_uses_only_the_column(self, monkeypatch):
-        """A 28-box shape fills one column and not p(28) character entries,
-        and its terms come from the column's nonzero characters alone: the
-        oracle walks no cycle types and shares nothing with h and e."""
+        """A 28-box shape walks one column, once across repeated calls, and
+        not p(28) character entries, and its terms come from the column's
+        nonzero characters alone: the oracle walks no cycle types and shares
+        nothing with h and e."""
         def refuse(*args):
             raise AssertionError("the character route left its column")
 
+        walked = []
+
+        def counted(parts):
+            walked.append(parts)
+            return _column(parts)
+
         for name in ("partitions_of", "homogeneous", "elementary"):
             monkeypatch.setattr(symfun, name, refuse)
-        _column.cache_clear()
+        monkeypatch.setattr(symfun, "_column", counted)
+        symfun._schur_via_characters.cache_clear()
         before = _character.cache_info().currsize
         lam = YoungDiagram((7, 6, 5, 4, 3, 2, 1))
         poly = schur_via_characters(lam)
+        for _ in range(3):
+            assert schur_via_characters(YoungDiagram(lam.parts)) is poly
         assert _character.cache_info().currsize == before
-        assert _column.cache_info().currsize == 1
+        assert walked == [lam.parts]
         assert len(poly.terms) == len(_column(lam.parts)) == 159
 
-    def test_one_class_walks_one_cycle_type(self):
+    def test_one_class_walks_one_cycle_type(self, monkeypatch):
         """character() on 1000 fixed points peels one cycle type, never a
         column of p(1000) of them."""
-        before = _column.cache_info().currsize
+        def refuse(*args):
+            raise AssertionError("character() walked a column")
+
+        monkeypatch.setattr(characters, "_column", refuse)
+        monkeypatch.setattr(symfun, "_column", refuse)
+        _character.cache_clear()
         assert character(YoungDiagram((1000,)), ConjugacyClass({1: 1000})) == 1
-        assert _column.cache_info().currsize == before
+        assert _character.cache_info().misses == 1
 
 
 class TestTail:

@@ -9,7 +9,8 @@ import pytest
 
 from schurkit import canonical_text, from_term_list, verify
 from schurkit.cli import build_parser, main, run
-from schurkit.symfun import _branches, _schur
+from schurkit.characters import _character
+from schurkit.symfun import _branches, _schur, _schur_via_characters
 
 S321 = "t1**6/45 - t1**3*t3/3 + t1*t5 - t3**2"
 M321 = (
@@ -188,6 +189,20 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "schur_via_characters", perturbed)
         assert run(["verify", "oracles", "--max-boxes", "3"]) == (3, "oracles: FAIL (7 cases)")
 
+    def test_wrong_oracle_fails_warm(self, monkeypatch):
+        """A sweep that has filled both Schur memos still catches one shape
+        where the two routes part: a hit is compared, not trusted."""
+        argv = ["verify", "oracles", "--max-boxes", "5"]
+        assert run(argv) == (0, "oracles: pass (19 cases)")
+        real = verify.schur_via_characters
+
+        def perturbed(lam):
+            value = real(lam)
+            return value + 1 if lam.parts == (2, 1) else value
+
+        monkeypatch.setattr(verify, "schur_via_characters", perturbed)
+        assert run(argv) == (3, "oracles: FAIL (19 cases)")
+
     def test_failure_exits_three(self, monkeypatch):
         monkeypatch.setattr(
             "schurkit.verify.run_scope", lambda scope, max_boxes: [("oracles", False, 7)]
@@ -213,13 +228,26 @@ class TestVerifyCommand:
         assert f"at most {verify.MAX_BOXES_LIMIT} " in max_boxes.help
 
     def test_repeated_oracle_sweep_hits_the_schur_memo(self):
-        """All 67 shapes of at most 8 boxes stay in the memo between sweeps."""
+        """All 67 shapes of at most 8 boxes stay in both routes' memos
+        between sweeps."""
         argv = ["verify", "oracles", "--max-boxes", "8"]
         assert run(argv) == (0, "oracles: pass (67 cases)")
-        before = _schur.cache_info()
+        before = [memo.cache_info() for memo in (_schur, _schur_via_characters)]
         assert run(argv) == (0, "oracles: pass (67 cases)")
-        after = _schur.cache_info()
-        assert (after.hits - before.hits, after.misses - before.misses) == (67, 0)
+        after = [memo.cache_info() for memo in (_schur, _schur_via_characters)]
+        for a, b in zip(after, before):
+            assert (a.hits - b.hits, a.misses - b.misses) == (67, 0)
+
+    def test_repeated_character_sweep_hits_the_character_cache(self):
+        """The 985 characters one sweep of at most 8 boxes keys stay in the
+        bounded cache between sweeps."""
+        argv = ["verify", "characters", "--max-boxes", "8"]
+        assert run(argv) == (0, "characters: pass (1904 cases)")
+        before = _character.cache_info()
+        assert run(argv) == (0, "characters: pass (1904 cases)")
+        after = _character.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (985, 0)
+        assert after.currsize >= 985
 
     def test_max_boxes_bound(self, capsys):
         status, text = run(["verify", "all", "--max-boxes", "99"])

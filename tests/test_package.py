@@ -90,8 +90,8 @@ MODULE_CACHES = [
     symfun._t_pairs,
     symfun._schur,
     symfun._branches,
+    symfun._schur_via_characters,
     characters._character,
-    characters._column,
     cli.build_parser,
 ]
 
@@ -117,9 +117,22 @@ def test_clearing_the_module_caches_keeps_the_bytes():
     assert cached_outputs() == before
 
 
+def test_module_caches_are_the_listed_ones():
+    """No module keeps a cache that the clearing test above does not clear;
+    a shape's character column, in particular, lives only in the character
+    route's memo."""
+    found = {id(obj): obj for module in (partitions, polyalgebra, symfun, characters, cli)
+             for obj in vars(module).values() if hasattr(obj, "cache_info")}
+    assert sorted(found) == sorted(map(id, MODULE_CACHES))
+    assert not hasattr(characters._column, "cache_info")
+
+
 def test_memos_of_unbounded_domains_are_bounded():
-    """The Schur memo and the Hall-Littlewood branch table take any shape, so
-    each keeps at most its module constant of entries."""
+    """Both Schur memos, the Hall-Littlewood branch table and the character
+    cache take any shape, so each keeps at most its module constant of
+    entries."""
     for cached, bound in ((symfun._schur, symfun.SCHUR_CACHE_SIZE),
-                          (symfun._branches, symfun.HL_BRANCH_CACHE_SIZE)):
+                          (symfun._schur_via_characters, symfun.SCHUR_CACHE_SIZE),
+                          (symfun._branches, symfun.HL_BRANCH_CACHE_SIZE),
+                          (characters._character, characters.CHARACTER_CACHE_SIZE)):
         assert type(bound) is int and cached.cache_info().maxsize == bound, cached.__name__

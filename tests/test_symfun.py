@@ -37,7 +37,8 @@ from schurkit import (
     x_var,
 )
 from schurkit.cli import run
-from schurkit.symfun import HL_BRANCH_CACHE_SIZE, SCHUR_CACHE_SIZE, _branches, _schur, _t_pairs
+from schurkit.symfun import (HL_BRANCH_CACHE_SIZE, SCHUR_CACHE_SIZE, _branches, _schur,
+                             _schur_via_characters, _t_pairs)
 from schurkit.verify import _at_q_zero_and_one, check_degenerations
 
 from oracles import (dp_partition_counts, frobenius_character, hall_littlewood_numerator,
@@ -648,6 +649,49 @@ class TestSchurViaCharacters:
         assert len(switched) == 45
         for lam in switched:
             assert schur(lam) == schur_via_characters(lam), lam.parts
+
+
+class TestCharacterRouteMemo:
+    """schur_via_characters keeps its last SCHUR_CACHE_SIZE shapes in
+    _schur_via_characters, apart from the determinant's memo."""
+
+    def test_bound(self):
+        assert _schur_via_characters.cache_info().maxsize == SCHUR_CACHE_SIZE == 128
+
+    def test_hit_returns_the_same_object(self):
+        _schur_via_characters.cache_clear()
+        lam = YoungDiagram((4, 2, 1))
+        built = schur_via_characters(lam)
+        assert schur_via_characters(YoungDiagram((4, 2, 1))) is built
+        assert _schur_via_characters.cache_info()[:2] == (1, 1)  # hits, misses
+        assert built is not schur(lam)
+
+    def test_cold_and_warm_agree_with_the_determinant(self, cold_schur):
+        """Every shape of at most 8 boxes, with both memos emptied first and
+        again from both memos."""
+        _schur_via_characters.cache_clear()
+        shapes = list(shapes_up_to(8))
+        for _ in range(2):
+            for lam in shapes:
+                assert schur_via_characters(lam) == schur(lam), lam.parts
+        info = _schur_via_characters.cache_info()
+        assert (info.hits, info.misses) == (len(shapes), len(shapes)) == (67, 67)
+
+    def test_evicted_shape_rebuilds_to_the_same_bytes(self):
+        first = YoungDiagram((2, 1))
+        _schur_via_characters.cache_clear()
+        built = schur_via_characters(first)
+        before = hl_bytes(built)
+        others = [lam for lam in shapes_up_to(10) if lam != first]
+        assert len(others) == 138 > SCHUR_CACHE_SIZE
+        for lam in others:
+            schur_via_characters(lam)
+        info = _schur_via_characters.cache_info()
+        assert info.currsize == SCHUR_CACHE_SIZE
+        again = schur_via_characters(first)
+        assert again is not built
+        assert hl_bytes(again) == before
+        assert _schur_via_characters.cache_info().misses == info.misses + 1
 
 
 class TestMonomial:
