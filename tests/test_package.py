@@ -5,7 +5,9 @@ import subprocess
 import sys
 
 import schurkit
-from schurkit import YoungDiagram, canonical_text, characters, cli, partitions, polyalgebra, symfun
+from schurkit import (
+    YoungDiagram, canonical_text, characters, cli, partitions, polyalgebra, symfun, verify,
+)
 
 PUBLIC_NAMES = [
     "AlphabetContext",
@@ -121,7 +123,8 @@ def test_module_caches_are_the_listed_ones():
     """No module keeps a cache that the clearing test above does not clear;
     a shape's character column, in particular, lives only in the character
     route's memo."""
-    found = {id(obj): obj for module in (partitions, polyalgebra, symfun, characters, cli)
+    modules = (schurkit, partitions, polyalgebra, symfun, characters, verify, cli)
+    found = {id(obj): obj for module in modules
              for obj in vars(module).values() if hasattr(obj, "cache_info")}
     assert sorted(found) == sorted(map(id, MODULE_CACHES))
     assert not hasattr(characters._column, "cache_info")

@@ -638,9 +638,16 @@ class TestSchurViaCharacters:
             T[1] ** 2 * Fraction(1, 2) - T[2]
         )
 
-    def test_agrees_with_determinant_route(self):
-        for lam in shapes_up_to(7):
-            assert schur_via_characters(lam) == schur(lam)
+    def test_agrees_with_determinant_route(self, cold_schur):
+        """Every shape of at most 8 boxes, with both memos emptied first and
+        again from both memos."""
+        _schur_via_characters.cache_clear()
+        shapes = list(shapes_up_to(8))
+        for _ in range(2):
+            for lam in shapes:
+                assert schur_via_characters(lam) == schur(lam), lam.parts
+        info = _schur_via_characters.cache_info()
+        assert (info.hits, info.misses) == (len(shapes), len(shapes)) == (67, 67)
 
     def test_agrees_on_the_conjugate_side(self):
         """Every 13-box shape with more rows than columns, which schur
@@ -662,17 +669,6 @@ class TestCharacterRouteMemo:
         assert schur_via_characters(YoungDiagram((4, 2, 1))) is built
         assert _schur_via_characters.cache_info()[:2] == (1, 1)  # hits, misses
         assert built is not schur(lam)
-
-    def test_cold_and_warm_agree_with_the_determinant(self, cold_schur):
-        """Every shape of at most 8 boxes, with both memos emptied first and
-        again from both memos."""
-        _schur_via_characters.cache_clear()
-        shapes = list(shapes_up_to(8))
-        for _ in range(2):
-            for lam in shapes:
-                assert schur_via_characters(lam) == schur(lam), lam.parts
-        info = _schur_via_characters.cache_info()
-        assert (info.hits, info.misses) == (len(shapes), len(shapes)) == (67, 67)
 
     def test_evicted_shape_rebuilds_to_the_same_bytes(self):
         first = YoungDiagram((2, 1))
