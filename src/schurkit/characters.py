@@ -28,9 +28,9 @@ from .partitions import ConjugacyClass, YoungDiagram
 __all__ = ["z_order", "character", "dimension"]
 
 # Entries ``_character`` keeps, one per (shape, cycles >= 2) pair asked for.
-# One ``verify characters --max-boxes 8`` keys 985: 919 (lam, mu) pairs, the
-# sweep passing mu with its 1-cycles, and 66 identity-class calls.  One dealt
-# character-route benchmark round keys 1010, that sweep among them; the room
+# One ``verify characters --max-boxes 8`` keys 919, one per (lam, mu) pair;
+# its 66 identity-class calls read the table's own entries.  One dealt
+# character-route benchmark round keys 944, that sweep among them; the room
 # above holds the single characters asked for between sweeps.  An LRU smaller
 # than a repeated sweep would evict each entry before its next use.
 CHARACTER_CACHE_SIZE = 4096
@@ -122,10 +122,9 @@ def _tableaux(beta: int) -> int:
 
 @lru_cache(maxsize=CHARACTER_CACHE_SIZE)
 def _character(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    """One layer per cycle >= 2, in the order given; 1-cycles are skipped,
-    and the boxes left are closed by the standard-tableau count."""
-    if 1 in cycles:
-        cycles = tuple(r for r in cycles if r > 1)
+    """One layer per cycle, in the order given; the cycles are >= 2 only, as
+    ``_key`` gives them, and the boxes left are closed by the standard-tableau
+    count."""
     layer = {_beta_set(parts): 1}
     for r in cycles:
         layer = _strip(layer, r)
@@ -161,18 +160,24 @@ def _column(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return column
 
 
+def _key(cycle_type: ConjugacyClass) -> tuple[int, ...]:
+    """The cycles ``_character`` is keyed by: cycle_type.cycles() less the
+    1-cycles, which the tail rule closes and no key holds."""
+    mult = cycle_type.multiplicities
+    cycles: list[int] = []
+    for j in sorted(mult, reverse=True):
+        if j > 1:
+            cycles += [j] * mult[j]
+    return tuple(cycles)
+
+
 def character(shape: YoungDiagram, cycle_type: ConjugacyClass) -> int:
     """Irreducible character of shape evaluated on the class of cycle_type."""
     if shape.boxes != cycle_type.weight:
         raise ValueError(
             f"shape has {shape.boxes} boxes but the cycle type has weight {cycle_type.weight}"
         )
-    mult = cycle_type.multiplicities
-    cycles: list[int] = []  # as cycle_type.cycles(), less the 1-cycles the tail rule closes
-    for j in sorted(mult, reverse=True):
-        if j > 1:
-            cycles += [j] * mult[j]
-    return _character(shape.parts, tuple(cycles))
+    return _character(shape.parts, _key(cycle_type))
 
 
 def dimension(shape: YoungDiagram) -> int:

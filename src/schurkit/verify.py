@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .characters import _character, character, dimension, z_order
+from .characters import _character, _key, character, dimension, z_order
 from .partitions import ConjugacyClass, partitions_of
 from .polyalgebra import Polynomial, q_var
 from .symfun import AlphabetContext, hall_littlewood, miwa_push, monomial, schur, schur_via_characters
@@ -61,8 +61,10 @@ def check_characters(max_boxes: int) -> tuple[str, bool, int]:
     ok = True
     for n in range(max_boxes + 1):
         shapes = list(partitions_of(n))
-        table = [[_character(lam.parts, mu.parts) for mu in shapes] for lam in shapes]
-        z = [z_order(mu.conjugacy_class()) for mu in shapes]
+        classes = [mu.conjugacy_class() for mu in shapes]
+        keys = [_key(mu) for mu in classes]  # once per class, as character() keys it
+        table = [[_character(lam.parts, key) for key in keys] for lam in shapes]
+        z = [z_order(mu) for mu in classes]
         order = factorial(n)
         sizes = [order // z_mu for z_mu in z]  # permutations of cycle type mu
         # first orthogonality over all shape pairs, times n!

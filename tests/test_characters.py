@@ -42,6 +42,12 @@ def classes_of(n):
     return [d.conjugacy_class() for d in partitions_of(n)]
 
 
+def key(cycles):
+    """Of cycles given largest first, as cc.cycles() gives them, the cycles
+    >= 2: the key character() gives _character."""
+    return tuple(r for r in cycles if r > 1)
+
+
 class TestZOrder:
     def test_examples(self):
         assert z_order(ConjugacyClass({})) == 1
@@ -112,7 +118,8 @@ class TestKnownTables:
             classes = classes_of(n)
             shapes = list(partitions_of(n))
             rows = [[character(s, cc) for cc in classes] for s in shapes]
-            columns = [[_column(s.parts).get(cc.cycles(), 0) for cc in classes] for s in shapes]
+            columns = [[col.get(cc.cycles(), 0) for cc in classes]
+                       for col in (_column(s.parts) for s in shapes)]
             for table in (rows, columns):
                 wire = json.dumps(table, separators=(",", ":"))
                 assert hashlib.sha256(wire.encode()).hexdigest() == golden[str(n)], n
@@ -169,8 +176,8 @@ class TestStructure:
         for n in range(8):
             for lam in partitions_of(n):
                 for cc in classes_of(n):
-                    descending = cc.cycles()
-                    ascending = tuple(sorted(descending))
+                    descending = key(cc.cycles())
+                    ascending = descending[::-1]
                     assert _character(lam.parts, ascending) == _character(
                         lam.parts, descending
                     )
@@ -195,7 +202,7 @@ class TestColumn:
         for n in range(13):
             classes = [mu.parts for mu in partitions_of(n)]
             for lam in partitions_of(n):
-                pointwise = {mu: _character(lam.parts, mu) for mu in classes}
+                pointwise = {mu: _character(lam.parts, key(mu)) for mu in classes}
                 assert _column(lam.parts) == {mu: x for mu, x in pointwise.items() if x}, lam.parts
 
     def test_character_route_schur_uses_only_the_column(self, monkeypatch):
@@ -290,10 +297,10 @@ class TestTail:
         assert _character((1000,), ()) == 1
         assert _character.cache_info().hits == info.hits + 1
 
-    def test_one_cycles_given_to_the_cache_are_skipped(self, monkeypatch):
-        """Callers that pass 1-cycles, as the verify sweep does, get the same
-        value as without them, wherever they stand, and no 1-cycle is
-        stripped."""
+    def test_no_door_strips_a_one_cycle(self, monkeypatch):
+        """Neither character() nor the verify sweep hands _character a
+        1-cycle: the sweep still passes, and character() reads the entry
+        under the class's cycles >= 2, for every class of at most 8 boxes."""
         strip = characters._strip
 
         def strip_no_one_cycle(layer, r):
@@ -302,14 +309,13 @@ class TestTail:
 
         monkeypatch.setattr(characters, "_strip", strip_no_one_cycle)
         _character.cache_clear()
+        assert check_characters(8) == ("characters", True, 1904)
+        misses = _character.cache_info().misses
         for n in range(9):
             for lam in partitions_of(n):
                 for cc in classes_of(n):
-                    bare = tuple(r for r in cc.cycles() if r > 1)
-                    ones = (1,) * (n - sum(bare))
-                    want = _character(lam.parts, bare)
-                    assert _character(lam.parts, ones + bare) == want
-                    assert _character(lam.parts, bare + ones) == want
+                    assert character(lam, cc) == _character(lam.parts, key(cc.cycles()))
+        assert _character.cache_info().misses == misses  # the sweep's own keys
 
 
 class TestDimension:

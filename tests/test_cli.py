@@ -158,7 +158,7 @@ class TestVerifyCommand:
 
         def flipped(parts, cycles):
             value = real(parts, cycles)
-            return -value if (parts, cycles) == ((2, 1), (1, 1, 1)) else value
+            return -value if (parts, cycles) == ((2, 1), ()) else value
 
         monkeypatch.setattr(verify, "_character", flipped)
         assert run(["verify", "characters", "--max-boxes", "3"]) == (3, "characters: FAIL (36 cases)")
@@ -230,11 +230,14 @@ class TestVerifyCommand:
             assert (a.hits - b.hits, a.misses - b.misses) == (67, 0)
 
     def test_repeated_character_sweep_hits_the_character_cache(self):
-        """The 985 characters one sweep of at most 8 boxes keys stay in the
-        bounded cache between sweeps."""
+        """One sweep of at most 8 boxes makes 985 lookups under 919 keys, the
+        ones character() makes: its identity checks read the table's own
+        entries.  The keys stay in the bounded cache between sweeps."""
         argv = ["verify", "characters", "--max-boxes", "8"]
+        _character.cache_clear()
         assert run(argv) == (0, "characters: pass (1904 cases)")
         before = _character.cache_info()
+        assert (before.hits, before.misses) == (66, 919)
         assert run(argv) == (0, "characters: pass (1904 cases)")
         after = _character.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (985, 0)
