@@ -280,6 +280,41 @@ MIWA_INPUTS = {
 }
 
 
+SCHUR_GOLDEN = Path(__file__).parent / "fixtures" / "schur_golden.json"
+
+# Large shapes frozen beside the grids: a square, the 7-row staircase, a
+# diagonal far below min(rows, columns), and four long rows.
+SCHUR_LARGE = ((6,) * 6, (7, 6, 5, 4, 3, 2, 1), (10, 9) + (2,) * 6 + (1, 1), (12, 10, 8, 6))
+
+
+def schur_golden_cases():
+    """(key, thunk) for every case in SCHUR_GOLDEN, in a fixed order: h_n and
+    e_n for n <= 30, every straight shape of <= 10 boxes, every skew pair
+    of 9-10 boxes whose inner shape has a diagonal of >= 2 boxes (so that
+    the weight |lam| - |mu| falls below the largest entry weight), and
+    SCHUR_LARGE."""
+    for n in range(31):
+        yield f"homogeneous|{n}", lambda n=n: homogeneous(n)
+        yield f"elementary|{n}", lambda n=n: elementary(n)
+    for lam in shapes_up_to(10):
+        yield f"schur|{parts_key(lam)}", lambda lam=lam: schur(lam)
+    for n in (9, 10):
+        for lam in partitions_of(n):
+            for mu in shapes_up_to(n):
+                if mu.diagonal >= 2 and lam.contains(mu):
+                    yield f"skew|{parts_key(lam)}/{parts_key(mu)}", lambda lam=lam, mu=mu: schur(lam, mu)
+    for parts in SCHUR_LARGE:
+        lam = YoungDiagram(parts)
+        yield f"schur|{parts_key(lam)}", lambda lam=lam: schur(lam)
+
+
+@pytest.fixture(scope="module")
+def schur_golden_builds():
+    """Every SCHUR_GOLDEN case, built once with the Schur memo emptied first."""
+    _schur.cache_clear()
+    return {key: build() for key, build in schur_golden_cases()}
+
+
 def power_sum_bindings(n, max_j):
     """t_j -> (1/j) * (x1^j + ... + xn^j) for j <= max_j: the substitute route."""
     return {
@@ -1091,3 +1126,13 @@ class TestMiwaGolden:
         for key, (_, got, refused) in golden_builds[0].items():
             if not key.startswith(("monomial|", "miwa_push|")):
                 assert not refused and got == miwa[key], key
+
+
+class TestSchurGolden:
+    def test_matches_frozen_golden(self, schur_golden_builds):
+        """Byte digests of h_n and e_n, straight and skew Schur, frozen before
+        the t-kernels emitted their terms in canonical order."""
+        golden = json.loads(SCHUR_GOLDEN.read_text())["cases"]
+        assert set(golden) == set(schur_golden_builds)
+        for key, poly in schur_golden_builds.items():
+            assert digests(poly) == golden[key], key
