@@ -14,6 +14,13 @@ canonical terms (ascending variables, positive int exponents, nonzero
 Fraction coefficients) and build through the private ``Polynomial._raw``.
 Every sum of terms, in the two doors and in the ring operations alike, lands
 in ``_summed``: equal monomials add up and a sum that reaches zero drops out.
+
+The writers (``canonical_text``, ``to_term_list``) and ``sorted_terms`` read
+the terms in canonical order through ``_ordered``.  A kernel that emits them
+in that order already (h_n, e_n and the Schur determinant) says so through
+``_raw``'s ``in_order`` flag, and ``_ordered`` then walks the dict as it is;
+the two doors, every ring operation and the other kernels leave it unset, and
+their terms are sorted on each write.
 """
 
 from __future__ import annotations
@@ -151,7 +158,7 @@ class ExactDivisionError(ArithmeticError):
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_in_order")
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
         """Sum the terms; the public door for raw monomials.  Pairs
@@ -172,6 +179,7 @@ class Polynomial:
                     yield (tuple(sorted([ve for ve in mono if ve[1]])),
                            coeff if type(coeff) is Fraction else Fraction(coeff))
         object.__setattr__(self, "_terms", _summed(checked()))
+        object.__setattr__(self, "_in_order", False)
 
     # -- constructors -----------------------------------------------------
 
@@ -274,12 +282,15 @@ class Polynomial:
         return result
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, Fraction]) -> "Polynomial":
+    def _raw(cls, terms: dict[Monomial, Fraction], in_order: bool = False) -> "Polynomial":
         """Wrap terms that are already canonical, unchecked: each monomial's
         variables strictly ascending with int exponents >= 1, and each
-        coefficient a nonzero Fraction."""
+        coefficient a nonzero Fraction.  ``in_order`` says that the dict
+        already holds them in canonical order, so the writers walk it as it
+        is; only a kernel that emits that order sets it."""
         self = object.__new__(cls)
         object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_in_order", in_order)
         return self
 
     # -- substitution -----------------------------------------------------
@@ -316,7 +327,7 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical order (descending lexicographic), the order of
         ``_mono_key``."""
-        return _ordered(self._terms)[0]
+        return list(_ordered(self)[0])
 
     def __str__(self) -> str:
         return canonical_text(self)
@@ -325,8 +336,8 @@ class Polynomial:
         return f"Polynomial<{canonical_text(self)}>"
 
 
-def _ordered(terms: Mapping[Monomial, Fraction]):
-    """The terms in canonical order, and two lookups over their distinct
+def _ordered(p: Polynomial):
+    """The terms of p in canonical order, and two lookups over their distinct
     (variable, exponent) factors: the text word (``x3``, ``t2**4``) and the
     wire pair (``("t2", 4)``).
 
@@ -334,8 +345,11 @@ def _ordered(terms: Mapping[Monomial, Fraction]):
     shares: over the variables in ascending order, the first in the highest
     slot, each exponent in a slot wide enough for the largest one.  Descending
     keys are then descending exponent vectors, an absent variable counting as
-    0.  The keys live only inside the sort.
+    0.  The keys live only inside the sort.  Terms that a kernel emitted in
+    canonical order (``Polynomial._raw`` with ``in_order``) need no keys and
+    no sort: they come back as the dict holds them.
     """
+    terms = p._terms
     factors = {ve for mono in terms for ve in mono}
     width = max((e for _, e in factors), default=0).bit_length()
     last_first = sorted({v for v, _ in factors}, reverse=True)
@@ -347,6 +361,8 @@ def _ordered(terms: Mapping[Monomial, Fraction]):
         packed[ve] = e << shift
         word[ve] = name if e == 1 else f"{name}**{e}"
         pair[ve] = (name, e)
+    if p._in_order:
+        return terms.items(), word.__getitem__, pair.__getitem__
     share = packed.__getitem__
     ordered = sorted(terms.items(), key=lambda mc: sum(map(share, mc[0])), reverse=True)
     return ordered, word.__getitem__, pair.__getitem__
@@ -360,7 +376,7 @@ def canonical_text(p: Polynomial) -> str:
     """
     if not p._terms:
         return "0"
-    ordered, word, _ = _ordered(p._terms)
+    ordered, word, _ = _ordered(p)
     pieces = []  # each term with its " + " or " - "
     for mono, coeff in ordered:
         num, den = coeff.numerator, coeff.denominator
@@ -445,7 +461,7 @@ def determinant(rows: list[list[Polynomial]]) -> Polynomial:
 
 def to_term_list(p: Polynomial) -> list[dict]:
     """Encode as a list of {"coeff": "p/q", "monomial": {...}} in canonical order."""
-    ordered, _, pair = _ordered(p._terms)
+    ordered, _, pair = _ordered(p)
     return [{"coeff": str(coeff), "monomial": dict(map(pair, mono))} for mono, coeff in ordered]
 
 

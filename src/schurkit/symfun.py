@@ -5,11 +5,11 @@ term per cycle type, and elementary ones are their images under the
 involution omega, e_n = omega(h_n); (skew-)Schur polynomials come from the
 determinant identity det(h_{lam_i - mu_j - i + j}), expanded on integers (d!
 times the coefficients of a minor of weight d, over bit-packed exponents that
-never carry) on the side with fewer rows: via omega, a tall shape is the same
-determinant in e_k on its conjugate.  One memo per shape pair holds them
-all, h_n = s_(n) and e_n = s_(1^n) included.  The character route, the
-independent oracle, sums only the nonzero characters of the shape's column,
-in a memo of its own, one entry per shape;
+never carry and sort in canonical order) on the side with fewer rows: via
+omega, a tall shape is the same determinant in e_k on its conjugate.  One
+memo per shape pair holds them all, h_n = s_(n) and e_n = s_(1^n) included.
+The character route, the independent oracle, sums only the nonzero
+characters of the shape's column, in a memo of its own, one entry per shape;
 monomial and Hall-Littlewood polynomials live in a finite alphabet x1..xN,
 the latter carrying the deformation parameter Q, and ``miwa_push`` moves a
 t-polynomial there via t_j -> (1/j) * (x1^j + ... + xN^j).  All three are
@@ -20,9 +20,10 @@ state's branches do not depend on the letter, so each caller tabulates them
 once: Hall-Littlewood's horizontal strips and their psi factors live in
 ``_branches``, one entry per shape, the last HL_BRANCH_CACHE_SIZE shapes used,
 and ``miwa_push``'s takes in a cache made per call.  x1 needs no table: it
-takes what is left.  Kernel loops run on ints; each kernel makes one
+takes what is left.  Kernel loops run on ints; each kernel makes at most one
 ``Fraction`` per output coefficient and hands its canonical terms to
-``Polynomial._raw``, not ``Polynomial(...)``."""
+``Polynomial._raw``, not ``Polynomial(...)``; h_n, e_n and the determinant
+hand them over in canonical order and flag them so."""
 
 from __future__ import annotations
 
@@ -131,7 +132,9 @@ def _cycle_types(n: int, signed: bool) -> Polynomial:
     """The sum over cycle types of weight n >= 0, with k_j cycles of length j,
     of prod_j t_j^{k_j} / k_j!, each term signed (-1)^(n - r) for r cycles when
     ``signed``: h_n, and e_n = omega(h_n) (Macdonald I (2.14')).  Terms share
-    one ``Fraction`` per signed denominator."""
+    one ``Fraction`` per signed denominator.  ``partitions_of`` reads the
+    ascending compositions in lexicographic order, which is descending
+    (k_1, k_2, ...): the terms come out in canonical order."""
     rows = _t_pairs(n)
     terms, coeffs = {}, {}
     for lam in partitions_of(n):
@@ -145,7 +148,7 @@ def _cycle_types(n: int, signed: bool) -> Polynomial:
             den = -den
         mono.reverse()  # parts decrease, and t_j ascends in a monomial
         terms[tuple(mono)] = coeffs.get(den) or coeffs.setdefault(den, Fraction(1, den))
-    return Polynomial._raw(terms)
+    return Polynomial._raw(terms, in_order=True)
 
 
 def homogeneous(n: int) -> Polynomial:
@@ -185,11 +188,14 @@ def schur(lam: YoungDiagram, mu: YoungDiagram | None = None) -> Polynomial:
 
     The Laplace expansion along the top row, cached per column set, runs on
     integers: a minor of Miwa weight d is {packed exponents: d! * coeff}, the
-    packed int holding t_j's exponent in its j-th fixed-width bit slot.  As
-    k! * h_k and k! * e_k have integer coefficients, an entry of weight k
-    times a minor of weight d - k scales by binomial(d, k), and monomials
-    multiply by adding keys.  The one division, by d!, happens in the final
-    Polynomial.
+    packed int holding t_j's exponent in a bit slot wide enough for
+    |lam| - |mu| over j, t1 in the highest slot, so that descending ints are
+    canonical order.  As k! * h_k and k! * e_k have integer coefficients, an
+    entry of weight k times a minor of weight d - k scales by binomial(d, k),
+    and monomials multiply by adding keys.  The final Polynomial takes the
+    keys sorted once, descending, divides by d! once per coefficient and, as
+    h_n and e_n do, flags its terms as already in canonical order, so that
+    its writers sort nothing.
     """
     return _schur(lam.parts, mu.parts if mu is not None else ())
 
@@ -202,9 +208,9 @@ def _schur(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> Polynomial:
     signed = wide < m
     if signed:
         lam, inner, m = lam.transpose(), inner.transpose(), wide
-    if m <= 1:  # h_k or e_k itself, 1 for two empty shapes
-        k = lam.boxes - inner.boxes
-        return _cycle_types(k, signed) if k >= 0 else Polynomial.zero()
+    d = lam.boxes - inner.boxes
+    if m <= 1:  # h_d or e_d itself, 1 for two empty shapes
+        return _cycle_types(d, signed) if d >= 0 else Polynomial.zero()
     entry = elementary if signed else homogeneous  # entries read the memo
     lp = lam.parts + (0,) * (m - lam.rows)
     mp = inner.parts + (0,) * (m - inner.rows)
@@ -212,13 +218,19 @@ def _schur(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> Polynomial:
     a = [lp[i] - i for i in range(m)]
     b = [mp[j] - j for j in range(m)]
     top = a[0] - b[-1]  # the largest entry weight: a falls with i, b with j
-    # Each exponent in a minor sums at most m entry exponents, each at most
-    # top, and keys are only ever added, so a slot of this width never carries.
-    width = (m * top).bit_length()
+    # A minor met in the expansion weighs at most d, the entries above it
+    # weighing >= 0, so an entry heavier than d never meets a nonzero minor,
+    # and t_j's exponent in a minor is at most d // j: keys are only ever
+    # added, so a slot of that width never carries.  t1 has the highest slot,
+    # so that descending keys are canonical order.
+    shift, bits = [0] * (top + 1), 0
+    for j in range(top, 0, -1):
+        shift[j] = bits
+        bits += (d // j).bit_length()
     table = {}
-    for k in {x - y for x in a for y in b if x >= y}:
+    for k in {x - y for x in a for y in b if 0 <= x - y <= d}:
         fk = factorial(k)  # h_k's and e_k's coefficients are +-1/prod_j k_j!
-        table[k] = {sum(e << (v.index - 1) * width for v, e in mono):
+        table[k] = {sum(e << shift[v.index] for v, e in mono):
                     fk // c.denominator * c.numerator for mono, c in entry(k)._terms.items()}
 
     cache: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
@@ -246,18 +258,21 @@ def _schur(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> Polynomial:
     scaled = minor(tuple(range(m)))
     if not scaled:
         return Polynomial.zero()
-    d, mask = lam.boxes - inner.boxes, (1 << width) - 1
     den = factorial(d)
-    rows = _t_pairs(d)[1:top + 1]  # t_j's exponents are at most d // j
-    terms = {}
-    for key, c in scaled.items():
+    slots = [(row, shift[j]) for j, row in enumerate(_t_pairs(d)[1:top + 1], 1)]
+    terms, coeffs = {}, {}
+    for key in sorted(scaled, reverse=True):
+        c = scaled[key]
         mono = []
-        for row in rows:
-            if key & mask:
-                mono.append(row[key & mask])
-            key >>= width
-        terms[tuple(mono)] = Fraction(c, den)
-    return Polynomial._raw(terms)
+        for row, at in slots:  # t1 first; a slot read is cleared from the key
+            e = key >> at
+            if e:
+                mono.append(row[e])
+                key -= e << at
+                if not key:
+                    break
+        terms[tuple(mono)] = coeffs.get(c) or coeffs.setdefault(c, Fraction(c, den))
+    return Polynomial._raw(terms, in_order=True)
 
 
 def schur_via_characters(lam: YoungDiagram) -> Polynomial:

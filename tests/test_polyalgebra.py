@@ -1,5 +1,7 @@
+import copy
 import gc
 import json
+import pickle
 import random
 import tracemalloc
 from decimal import Decimal
@@ -14,6 +16,7 @@ from schurkit import (
     Variable,
     canonical_text,
     determinant,
+    elementary,
     exact_divide,
     from_term_list,
     homogeneous,
@@ -283,8 +286,9 @@ class TestCanonicalText:
     def test_text_holds_no_sort_key_beside_its_pieces(self):
         """The packed sort keys live only inside the sort: one key kept beside
         each text piece would lift the text's traced peak to about 1.85 times
-        that of ordering the terms alone."""
-        p = homogeneous(30)
+        that of ordering the terms alone.  The copy through ``Polynomial(...)``
+        carries no order flag, so both sides sort."""
+        p = Polynomial(homogeneous(30).terms)
 
         def peak(work):
             gc.collect()
@@ -301,6 +305,37 @@ class TestCanonicalText:
     def test_text_separates_unequal_polynomials(self, a, b):
         if canonical_text(a) == canonical_text(b):
             assert a == b
+
+
+# Kernel outputs, which come flagged: their terms are already in canonical order.
+KERNEL_POLYNOMIALS = st.sampled_from([family(n) for n in range(7) for family in (homogeneous, elementary)])
+
+
+class TestTermOrderFlag:
+    """Only a kernel that emits its terms in canonical order flags its
+    polynomial, through ``Polynomial._raw``; the writers then walk the terms
+    as they are.  Every other polynomial is sorted when it is written."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(polynomials(), KERNEL_POLYNOMIALS), st.one_of(polynomials(), KERNEL_POLYNOMIALS))
+    def test_doors_and_arithmetic_never_flag(self, a, b):
+        made = [Polynomial(a.terms), from_term_list(to_term_list(a)), a + b, a * b, a - b, -a,
+                a ** 2, a.substitute({t_var(1): b, x_var(1): T2 + 1})]
+        assert not any(p._in_order for p in made)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(mixed_polynomials(), KERNEL_POLYNOMIALS))
+    def test_sorted_terms_is_the_mono_key_sort_either_way(self, p):
+        got = p.sorted_terms()
+        assert type(got) is list
+        assert got == sorted(p.terms.items(), key=lambda mc: _mono_key(mc[0]))
+
+    def test_pickle_and_copy_keep_the_flag(self):
+        for p in (homogeneous(6), Polynomial(homogeneous(6).terms)):
+            for again in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+                assert again == p and again._in_order is p._in_order
+                assert list(again._terms) == list(p._terms)
+                assert canonical_text(again) == canonical_text(p)
 
 
 class TestSubstitution:

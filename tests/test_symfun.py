@@ -290,8 +290,8 @@ SCHUR_LARGE = ((6,) * 6, (7, 6, 5, 4, 3, 2, 1), (10, 9) + (2,) * 6 + (1, 1), (12
 def schur_golden_cases():
     """(key, thunk) for every case in SCHUR_GOLDEN, in a fixed order: h_n and
     e_n for n <= 30, every straight shape of <= 10 boxes, every skew pair
-    of 9-10 boxes whose inner shape has a diagonal of >= 2 boxes (so that
-    the weight |lam| - |mu| falls below the largest entry weight), and
+    of 9-10 boxes whose inner shape has a diagonal of >= 2 boxes (among them
+    pairs whose weight |lam| - |mu| is below the largest entry weight), and
     SCHUR_LARGE."""
     for n in range(31):
         yield f"homogeneous|{n}", lambda n=n: homogeneous(n)
@@ -1136,3 +1136,10 @@ class TestSchurGolden:
         assert set(golden) == set(schur_golden_builds)
         for key, poly in schur_golden_builds.items():
             assert digests(poly) == golden[key], key
+
+    def test_terms_come_flagged_in_canonical_order(self, schur_golden_builds):
+        """h_n, e_n and the determinant hand Polynomial._raw their terms in
+        canonical order and say so; the order is that of the full sort."""
+        for key, poly in schur_golden_builds.items():
+            assert poly._in_order, key
+            assert list(poly._terms.items()) == Polynomial._raw(poly.terms).sorted_terms(), key
