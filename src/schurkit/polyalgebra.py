@@ -16,11 +16,11 @@ Every sum of terms, in the two doors and in the ring operations alike, lands
 in ``_summed``: equal monomials add up and a sum that reaches zero drops out.
 
 The writers (``canonical_text``, ``to_term_list``) and ``sorted_terms`` read
-the terms in canonical order through ``_ordered``.  A kernel that emits them
-in that order already (h_n, e_n and the Schur determinant) says so through
-``_raw``'s ``in_order`` flag, and ``_ordered`` then walks the dict as it is;
-the two doors, every ring operation and the other kernels leave it unset, and
-their terms are sorted on each write.
+the terms in canonical order through ``_ordered``; each writer renders a
+(variable, exponent) factor the first time it meets it.  h_n, e_n and the
+Schur determinant emit that order already and say so through ``_raw``'s
+``in_order`` flag, so their dict is walked as it is; what the doors, the ring
+operations and the other kernels build is sorted on each write.
 """
 
 from __future__ import annotations
@@ -327,7 +327,7 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical order (descending lexicographic), the order of
         ``_mono_key``."""
-        return list(_ordered(self)[0])
+        return list(_ordered(self))
 
     def __str__(self) -> str:
         return canonical_text(self)
@@ -337,35 +337,32 @@ class Polynomial:
 
 
 def _ordered(p: Polynomial):
-    """The terms of p in canonical order, and two lookups over their distinct
-    (variable, exponent) factors: the text word (``x3``, ``t2**4``) and the
-    wire pair (``("t2", 4)``).
-
-    The sort key of a monomial is one int, the sum of its factors' packed
-    shares: over the variables in ascending order, the first in the highest
-    slot, each exponent in a slot wide enough for the largest one.  Descending
-    keys are then descending exponent vectors, an absent variable counting as
-    0.  The keys live only inside the sort.  Terms that a kernel emitted in
-    canonical order (``Polynomial._raw`` with ``in_order``) need no keys and
-    no sort: they come back as the dict holds them.
-    """
+    """The terms of p in canonical order: as the dict holds them when a kernel
+    emitted them so (``Polynomial._raw`` with ``in_order``), else sorted on one
+    int per monomial, the sum of its factors' packed shares: over the
+    variables in ascending order, the first in the highest slot, each exponent
+    in a slot wide enough for the largest one.  Descending keys are then
+    descending exponent vectors, an absent variable counting as 0.  The keys
+    live only inside the sort."""
     terms = p._terms
+    if p._in_order:
+        return terms.items()
     factors = {ve for mono in terms for ve in mono}
     width = max((e for _, e in factors), default=0).bit_length()
-    last_first = sorted({v for v, _ in factors}, reverse=True)
-    slot = {v: (i * width, v.name) for i, v in enumerate(last_first)}
-    packed, word, pair = {}, {}, {}
-    for ve in factors:
-        v, e = ve
-        shift, name = slot[v]
-        packed[ve] = e << shift
-        word[ve] = name if e == 1 else f"{name}**{e}"
-        pair[ve] = (name, e)
-    if p._in_order:
-        return terms.items(), word.__getitem__, pair.__getitem__
-    share = packed.__getitem__
-    ordered = sorted(terms.items(), key=lambda mc: sum(map(share, mc[0])), reverse=True)
-    return ordered, word.__getitem__, pair.__getitem__
+    shift = {v: i * width for i, v in enumerate(sorted({v for v, _ in factors}, reverse=True))}
+    share = {ve: ve[1] << shift[ve[0]] for ve in factors}.__getitem__
+    return sorted(terms.items(), key=lambda mc: sum(map(share, mc[0])), reverse=True)
+
+
+class _Rendered(dict):
+    """A writer's (variable, exponent) factors, each rendered on first use."""
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, ve):
+        self[ve] = out = self.render(*ve)
+        return out
 
 
 def canonical_text(p: Polynomial) -> str:
@@ -376,9 +373,9 @@ def canonical_text(p: Polynomial) -> str:
     """
     if not p._terms:
         return "0"
-    ordered, word, _ = _ordered(p)
+    word = _Rendered(lambda v, e: v.name if e == 1 else f"{v.name}**{e}").__getitem__
     pieces = []  # each term with its " + " or " - "
-    for mono, coeff in ordered:
+    for mono, coeff in _ordered(p):
         num, den = coeff.numerator, coeff.denominator
         sign = " + "
         if num < 0:
@@ -453,7 +450,9 @@ def determinant(rows: list[list[Polynomial]]) -> Polynomial:
             piece._terms.items() for piece in pieces)))
         return out
 
-    return minor(tuple(range(n)))
+    det = minor(tuple(range(n)))
+    del minor  # it refers to itself: unbound, the minors need no cyclic collector
+    return det
 
 
 # -- JSON wire form -------------------------------------------------------
@@ -461,8 +460,8 @@ def determinant(rows: list[list[Polynomial]]) -> Polynomial:
 
 def to_term_list(p: Polynomial) -> list[dict]:
     """Encode as a list of {"coeff": "p/q", "monomial": {...}} in canonical order."""
-    ordered, _, pair = _ordered(p)
-    return [{"coeff": str(coeff), "monomial": dict(map(pair, mono))} for mono, coeff in ordered]
+    pair = _Rendered(lambda v, e: (v.name, e)).__getitem__
+    return [{"coeff": str(c), "monomial": dict(map(pair, mono))} for mono, c in _ordered(p)]
 
 
 def _parse_variable(name: str) -> Variable:

@@ -256,6 +256,7 @@ def _schur(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> Polynomial:
         return acc
 
     scaled = minor(tuple(range(m)))
+    del minor  # it refers to itself: unbound, the minors need no cyclic collector
     if not scaled:
         return Polynomial.zero()
     den = factorial(d)

@@ -50,6 +50,26 @@ def no_fraction_arithmetic(monkeypatch, refuse_fraction_arithmetic):
 
 
 @pytest.fixture(scope="session")
+def cyclic_garbage():
+    """A function of a call that runs it with the cyclic collector off and
+    returns how many objects it left that only that collector can free."""
+    import gc
+
+    def count(work):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            work()
+            return gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    return count
+
+
+@pytest.fixture(scope="session")
 def assert_canonical_terms():
     """A check of what kernels and ring operations promise when they build
     through Polynomial._raw and skip Polynomial(...)'s checks: each

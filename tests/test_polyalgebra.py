@@ -14,6 +14,7 @@ from schurkit import (
     ExactDivisionError,
     Polynomial,
     Variable,
+    YoungDiagram,
     canonical_text,
     determinant,
     elementary,
@@ -21,6 +22,7 @@ from schurkit import (
     from_term_list,
     homogeneous,
     q_var,
+    schur,
     t_var,
     to_term_list,
     x_var,
@@ -69,6 +71,16 @@ def mixed_polynomials(draw):
         monos.append(mono)
         monos.extend(mono[:k] for k in range(draw(st.integers(0, len(mono)))))
     return Polynomial({mono: draw(coeffs) for mono in monos})
+
+
+# Kernel outputs, which come flagged: their terms are already in canonical order.
+# Straight, skew and tall (built on the conjugate, signed) Schur shapes of at
+# most 6 boxes, like h_n and e_n, keep the arithmetic on them small.
+KERNEL_POLYNOMIALS = st.sampled_from(
+    [family(n) for n in range(7) for family in (homogeneous, elementary)]
+    + [schur(YoungDiagram(lam), YoungDiagram(mu)) for lam, mu in [
+        ((3, 2, 1), ()), ((3, 3), ()), ((2, 1, 1, 1, 1), ()), ((4, 3, 1), (2, 1)),
+        ((3, 2, 2), (1, 1)), ((2, 2, 2, 1), (1,))]])
 
 
 class TestRingAxioms:
@@ -259,8 +271,10 @@ class TestCanonicalText:
         assert repr(p) == f"Polynomial<{canonical_text(p)}>"
 
     @settings(max_examples=200, deadline=None)
-    @given(mixed_polynomials())
+    @given(st.one_of(mixed_polynomials(), KERNEL_POLYNOMIALS))
     def test_bytes_match_reference_renderer(self, p):
+        """Unflagged polynomials are sorted on each write, kernel outputs are
+        written as their dict holds them; both give the reference bytes."""
         assert canonical_text(p) == reference_text(p.terms)
         assert json.dumps(to_term_list(p), separators=(",", ":")) == reference_wire(p.terms)
 
@@ -307,10 +321,6 @@ class TestCanonicalText:
             assert a == b
 
 
-# Kernel outputs, which come flagged: their terms are already in canonical order.
-KERNEL_POLYNOMIALS = st.sampled_from([family(n) for n in range(7) for family in (homogeneous, elementary)])
-
-
 class TestTermOrderFlag:
     """Only a kernel that emits its terms in canonical order flags its
     polynomial, through ``Polynomial._raw``; the writers then walk the terms
@@ -329,6 +339,27 @@ class TestTermOrderFlag:
         got = p.sorted_terms()
         assert type(got) is list
         assert got == sorted(p.terms.items(), key=lambda mc: _mono_key(mc[0]))
+
+    def test_each_writer_walks_a_flagged_dict_once(self):
+        """A writer renders each factor when it first meets it in the terms,
+        so a flagged polynomial is read in one pass: no factor table is built
+        from the terms beforehand."""
+        class Counted(dict):
+            walks = 0
+
+            def __iter__(self):
+                self.walks += 1
+                return super().__iter__()
+
+            def items(self):
+                self.walks += 1
+                return super().items()
+
+        h8 = homogeneous(8)
+        for write in (canonical_text, to_term_list):
+            terms = Counted(h8._terms)
+            assert write(Polynomial._raw(terms, in_order=True)) == write(Polynomial(h8.terms))
+            assert terms.walks == 1, write.__name__
 
     def test_pickle_and_copy_keep_the_flag(self):
         for p in (homogeneous(6), Polynomial(homogeneous(6).terms)):
@@ -453,6 +484,13 @@ class TestDeterminant:
     def test_alternating_rows(self):
         rows = [[T1, T2], [T1, T2]]
         assert determinant(rows) == Polynomial.zero()
+
+    def test_leaves_no_cyclic_garbage(self, cyclic_garbage):
+        """The expansion's ``minor`` calls itself; unbound when the expansion
+        returns, it and its minors are freed without the cyclic collector."""
+        rows = [[(T1 + X1 * i) ** j for j in range(4)] for i in range(4)]  # Vandermonde
+        assert determinant(rows)
+        assert cyclic_garbage(lambda: determinant(rows)) == 0
 
     def test_three_by_three_vandermonde(self):
         one = Polynomial.one()

@@ -467,6 +467,16 @@ class TestSchur:
         assert got == expected
         assert canonical_text(got) == "t1**6/45 - t1**3*t3/3 + t1*t5 - t3**2"
 
+    @pytest.mark.parametrize("lam, mu", [((4, 3, 3, 2, 2, 1, 1, 1), ()), ((3, 3, 3), ()),
+                                         ((6, 5, 4, 3), (3, 2, 1))])
+    def test_a_cold_build_leaves_no_cyclic_garbage(self, cyclic_garbage, lam, mu):
+        """The Laplace expansion's ``minor`` calls itself; unbound when the
+        expansion returns, it and its minors are freed without the cyclic
+        collector.  The h_k and e_k entries are built first."""
+        built = _schur(lam, mu)
+        assert cyclic_garbage(lambda: _schur.__wrapped__(lam, mu)) == 0
+        assert _schur.__wrapped__(lam, mu) == built
+
     def test_single_row_is_homogeneous(self):
         for n in range(11):
             assert schur(YoungDiagram((n,) if n else ())) == homogeneous(n)
