@@ -84,6 +84,10 @@ def hl_golden_build(key):
 # Large outputs frozen beside the |lam| <= 6 grid: 55 408 and 10 077 terms.
 HL_LARGE = ("8|4,3,2,1", "8|3,3,1,1")
 
+# Slot edges frozen beside them: (1^8) in 8 letters, whose peeled terms reach
+# high Q powers, and one row in 2 letters across the 4 | 5 bit width.
+HL_EDGES = ("8|1,1,1,1,1,1,1,1", "2|15", "2|16", "2|17")
+
 
 def contained_pairs(max_boxes):
     """Every (lam, mu) of part tuples with mu inside lam and 1 <= |lam| <= max_boxes,
@@ -259,6 +263,13 @@ def miwa_golden_cases():
         lam = YoungDiagram(parts)
         yield (f"miwa_push|{n}|{parts_key(lam)}",
                lambda lam=lam, n=n: miwa_push(schur(lam), AlphabetContext(n)))
+    # Frozen later, before _orbits packed and sorted its own keys: exponents
+    # on both sides of a slot width (255 | 256, 1 | 2 bits), one letter of
+    # twelve, and h_8 pushed to 8 letters.
+    for n, parts in ((4, (256, 255, 1)), (3, (255, 1)), (12, (1,))):
+        lam = YoungDiagram(parts)
+        yield f"monomial|{n}|{parts_key(lam)}", lambda lam=lam, n=n: monomial(lam, AlphabetContext(n))
+    yield "miwa_push|8|8", lambda: miwa_push(homogeneous(8), AlphabetContext(8))
 
 
 # Shapes of 22-28 boxes whose character-route Schur polynomials are frozen.
@@ -894,16 +905,18 @@ class TestHallLittlewood:
     def test_matches_frozen_golden(self, golden_builds):
         """Byte digests frozen from the antisymmetrize-and-divide build at
         n = 3..6, from the full-vector layer loop at n = 7, 8, from the
-        validating constructor for the two large shapes in 8 letters, and
-        from the distinct-permutation orbit spread for 7-box shapes in 7 and
-        8 letters."""
+        validating constructor for the two large shapes in 8 letters, from
+        the distinct-permutation orbit spread for 7-box shapes in 7 and 8
+        letters, and from the orbit spread whose output was sorted on each
+        write for the slot edges."""
         golden = json.loads(HL_GOLDEN.read_text())["cases"]
         cases = {
             f"{n}|{','.join(map(str, lam.parts))}"
             for n in range(3, 9)
             for lam in shapes_up_to(6)
             if lam.rows <= n
-        } | set(HL_LARGE) | {f"{n}|{parts_key(lam)}" for n in (7, 8) for lam in partitions_of(7)}
+        } | set(HL_LARGE) | set(HL_EDGES) | {f"{n}|{parts_key(lam)}" for n in (7, 8)
+                                             for lam in partitions_of(7)}
         assert set(golden) == cases
         built = golden_builds[1]
         for key, want in golden.items():
