@@ -17,10 +17,11 @@ in ``_summed``: equal monomials add up and a sum that reaches zero drops out.
 
 The writers (``canonical_text``, ``to_term_list``) and ``sorted_terms`` read
 the terms in canonical order through ``_ordered``; each writer renders a
-(variable, exponent) factor the first time it meets it.  h_n, e_n and the
-Schur determinant emit that order already and say so through ``_raw``'s
-``in_order`` flag, so their dict is walked as it is; what the doors, the ring
-operations and the other kernels build is sorted on each write.
+(variable, exponent) factor the first time it meets it.  Every kernel in
+``symfun`` (h_n, e_n, both Schur routes, monomial, Hall-Littlewood and
+``miwa_push``) emits that order already and says so through ``_raw``'s
+``in_order`` flag, so its dict is walked as it is; only what the two doors
+and the ring operations build is sorted on each write.
 """
 
 from __future__ import annotations
@@ -343,7 +344,8 @@ def _ordered(p: Polynomial):
     variables in ascending order, the first in the highest slot, each exponent
     in a slot wide enough for the largest one.  Descending keys are then
     descending exponent vectors, an absent variable counting as 0.  The keys
-    live only inside the sort."""
+    live only inside the sort, which serves only what the two doors and the
+    ring operations build: every kernel flags its output."""
     terms = p._terms
     if p._in_order:
         return terms.items()
@@ -354,15 +356,27 @@ def _ordered(p: Polynomial):
     return sorted(terms.items(), key=lambda mc: sum(map(share, mc[0])), reverse=True)
 
 
-class _Rendered(dict):
-    """A writer's (variable, exponent) factors, each rendered on first use."""
+class _Words(dict):
+    """``canonical_text``'s (variable, exponent) factors, each rendered on
+    first use as its text word, such as ``x3`` or ``t2**4``."""
 
-    def __init__(self, render):
-        self.render = render
+    __slots__ = ()
 
     def __missing__(self, ve):
-        self[ve] = out = self.render(*ve)
-        return out
+        v, e = ve
+        self[ve] = word = v.name if e == 1 else f"{v.name}**{e}"
+        return word
+
+
+class _Pairs(dict):
+    """``to_term_list``'s (variable, exponent) factors, each rendered on first
+    use as its wire pair, such as ``("t2", 4)``."""
+
+    __slots__ = ()
+
+    def __missing__(self, ve):
+        self[ve] = pair = ve[0].name, ve[1]
+        return pair
 
 
 def canonical_text(p: Polynomial) -> str:
@@ -373,7 +387,7 @@ def canonical_text(p: Polynomial) -> str:
     """
     if not p._terms:
         return "0"
-    word = _Rendered(lambda v, e: v.name if e == 1 else f"{v.name}**{e}").__getitem__
+    word = _Words().__getitem__
     pieces = []  # each term with its " + " or " - "
     for mono, coeff in _ordered(p):
         num, den = coeff.numerator, coeff.denominator
@@ -460,7 +474,7 @@ def determinant(rows: list[list[Polynomial]]) -> Polynomial:
 
 def to_term_list(p: Polynomial) -> list[dict]:
     """Encode as a list of {"coeff": "p/q", "monomial": {...}} in canonical order."""
-    pair = _Rendered(lambda v, e: (v.name, e)).__getitem__
+    pair = _Pairs().__getitem__
     return [{"coeff": str(c), "monomial": dict(map(pair, mono))} for mono, c in _ordered(p)]
 
 

@@ -15,15 +15,17 @@ the latter carrying the deformation parameter Q, and ``miwa_push`` moves a
 t-polynomial there via t_j -> (1/j) * (x1^j + ... + xN^j).  All three are
 symmetric: their weakly decreasing exponent vectors are built letter by letter
 (``_peel``) and spread over their orbits once per vector, each distinct
-exponent on every combination of the letters still free (``_orbits``).  A
+exponent on every combination of the letters still free, each vector keyed
+by one packed int as it is placed and the keys sorted once (``_orbits``).  A
 state's branches do not depend on the letter, so each caller tabulates them
 once: Hall-Littlewood's horizontal strips and their psi factors live in
 ``_branches``, one entry per shape, the last HL_BRANCH_CACHE_SIZE shapes used,
 and ``miwa_push``'s takes in a cache made per call.  x1 needs no table: it
 takes what is left.  Kernel loops run on ints; each kernel makes at most one
 ``Fraction`` per output coefficient and hands its canonical terms to
-``Polynomial._raw``, not ``Polynomial(...)``; h_n, e_n and the determinant
-hand them over in canonical order and flag them so."""
+``Polynomial._raw``, not ``Polynomial(...)``, in canonical order and flagged
+so: h_n and e_n as ``partitions_of`` walks them, the other kernels sorted
+once on packed int keys (``_t_slots`` for both Schur routes)."""
 
 from __future__ import annotations
 
@@ -128,6 +130,19 @@ def _t_pairs(n: int) -> tuple[tuple[tuple[Variable, int], ...], ...]:
                          for j in range(1, n + 1))
 
 
+def _t_slots(d: int, top: int) -> list[int]:
+    """Entry j, for 1 <= j <= top, is the shift of t_j's slot in an int that
+    packs the t-exponents of a monomial of Miwa weight at most d: t_j's slot
+    is wide enough for d // j, the most t_j can reach, and t1 has the highest
+    slot, so descending keys are canonical order.  A sum of such keys never
+    carries while its weight stays at most d."""
+    shift, bits = [0] * (top + 1), 0
+    for j in range(top, 0, -1):
+        shift[j] = bits
+        bits += (d // j).bit_length()
+    return shift
+
+
 def _cycle_types(n: int, signed: bool) -> Polynomial:
     """The sum over cycle types of weight n >= 0, with k_j cycles of length j,
     of prod_j t_j^{k_j} / k_j!, each term signed (-1)^(n - r) for r cycles when
@@ -220,13 +235,8 @@ def _schur(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> Polynomial:
     top = a[0] - b[-1]  # the largest entry weight: a falls with i, b with j
     # A minor met in the expansion weighs at most d, the entries above it
     # weighing >= 0, so an entry heavier than d never meets a nonzero minor,
-    # and t_j's exponent in a minor is at most d // j: keys are only ever
-    # added, so a slot of that width never carries.  t1 has the highest slot,
-    # so that descending keys are canonical order.
-    shift, bits = [0] * (top + 1), 0
-    for j in range(top, 0, -1):
-        shift[j] = bits
-        bits += (d // j).bit_length()
+    # and keys are only ever added within weight d: ``_t_slots`` never carries.
+    shift = _t_slots(d, top)
     table = {}
     for k in {x - y for x in a for y in b if 0 <= x - y <= d}:
         fk = factorial(k)  # h_k's and e_k's coefficients are +-1/prod_j k_j!
@@ -285,7 +295,10 @@ def schur_via_characters(lam: YoungDiagram) -> Polynomial:
     terms, and the shape's column (``_column``, one Murnaghan-Nakayama walk)
     holds exactly those.
 
-    Memoized per shape, the last SCHUR_CACHE_SIZE shapes used, in
+    Each cycle type is keyed with the determinant's t-slot layout
+    (``_t_slots``); the keys are sorted once, descending, and the terms
+    handed over in that order and flagged so, so that the writers sort
+    nothing.  Memoized per shape, the last SCHUR_CACHE_SIZE shapes used, in
     ``_schur_via_characters`` (``cache_info()``, ``cache_clear()``), apart
     from the determinant's memo so that the two routes stay independent.  A
     hit returns the same Polynomial object, which is immutable.
@@ -296,16 +309,18 @@ def schur_via_characters(lam: YoungDiagram) -> Polynomial:
 @lru_cache(maxsize=SCHUR_CACHE_SIZE)
 def _schur_via_characters(parts: tuple[int, ...]) -> Polynomial:
     """``schur_via_characters`` on lam's parts; a miss walks ``_column``."""
-    rows = _t_pairs(sum(parts))
-    terms = {}
+    n = sum(parts)
+    rows, shift = _t_pairs(n), _t_slots(n, n)
+    keyed = {}
     for cycles, chi in _column(parts).items():
-        mono, den = [], 1
+        mono, den, key = [], 1, 0
         for j, run in groupby(reversed(cycles)):  # t_j ascending
             k = len(list(run))
             mono.append(rows[j][k])
             den *= factorial(k)
-        terms[tuple(mono)] = Fraction(chi, den)
-    return Polynomial._raw(terms)
+            key += k << shift[j]
+        keyed[key] = tuple(mono), Fraction(chi, den)
+    return Polynomial._raw(dict(map(keyed.__getitem__, sorted(keyed, reverse=True))), in_order=True)
 
 
 def _orbits(dominant: dict, xs: tuple[Variable, ...]) -> Polynomial:
@@ -313,39 +328,49 @@ def _orbits(dominant: dict, xs: tuple[Variable, ...]) -> Polynomial:
     ``dominant``, {(Q power, exponent vector): int or Fraction coeff}, one
     orbit per vector; zero coefficients drop out.  A vector's monomials are
     built once for all its Q powers: each distinct nonzero exponent goes on
-    every combination of the letters still free."""
+    every combination of the letters still free.
+
+    Each placement also adds to the vector's packed key: Q in the highest
+    slot, then x1, x2, ..., each letter's slot as wide as the largest
+    exponent, so that descending keys are canonical order.  The keys are
+    sorted once, descending, and the terms handed over in that order and
+    flagged so, so that the writers sort nothing."""
     by_alpha: dict[tuple[int, ...], list] = {}
     for (q, alpha), c in dominant.items():
         if c:
             by_alpha.setdefault(alpha, []).append((q, Fraction(c)))
     top = max((alpha[0] for alpha in by_alpha if alpha), default=0)  # alpha decreases
     rows = [[(x, e) for e in range(top + 1)] for x in xs]  # one shared pair per (x, e)
-    terms = {}
+    n, width = len(xs), top.bit_length()
+    shift = [(n - 1 - i) * width for i in range(n)]  # x1 highest; Q above xs' n slots
+    keyed = {}
     q_v = q_var()
     for alpha, coeffs in by_alpha.items():
-        vectors = [[0] * len(xs)]
+        vectors = [([0] * n, 0)]  # (exponent vector, packed key)
         for e, run in groupby(e for e in alpha if e):
             m = len(list(run))
+            share = [e << at for at in shift]
             spread = []
-            for vec in vectors:
+            for vec, key in vectors:
                 for letters in combinations([i for i, f in enumerate(vec) if not f], m):
-                    new = list(vec)
+                    new, k = list(vec), key
                     for i in letters:
                         new[i] = e
-                    spread.append(new)
+                        k += share[i]
+                    spread.append((new, k))
             vectors = spread
-        monos = [tuple([row[e] for row, e in zip(rows, vec) if e]) for vec in vectors]
+        monos = [(key, tuple([row[e] for row, e in zip(rows, vec) if e])) for vec, key in vectors]
         for q, c in coeffs:
-            head = ((q_v, q),) if q else ()
-            for mono in monos:
-                terms[head + mono] = c
-    return Polynomial._raw(terms)
+            head, q_key = ((q_v, q),) if q else (), q << n * width
+            for key, mono in monos:
+                keyed[q_key + key] = head + mono, c
+    return Polynomial._raw(dict(map(keyed.__getitem__, sorted(keyed, reverse=True))), in_order=True)
 
 
 def monomial(lam: YoungDiagram, alphabet: AlphabetContext) -> Polynomial:
-    """Monomial symmetric polynomial: all distinct permutations of the exponents."""
-    if lam.rows > alphabet.count:
-        return Polynomial.zero()
+    """Monomial symmetric polynomial: all distinct permutations of the
+    exponents; zero when lam has more rows than the alphabet has letters,
+    whose orbit is empty."""
     return _orbits({(0, lam.parts): 1}, alphabet.variables())
 
 

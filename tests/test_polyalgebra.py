@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schurkit import (
+    AlphabetContext,
     ExactDivisionError,
     Polynomial,
     Variable,
@@ -20,9 +21,13 @@ from schurkit import (
     elementary,
     exact_divide,
     from_term_list,
+    hall_littlewood,
     homogeneous,
+    miwa_push,
+    monomial,
     q_var,
     schur,
+    schur_via_characters,
     t_var,
     to_term_list,
     x_var,
@@ -75,12 +80,23 @@ def mixed_polynomials(draw):
 
 # Kernel outputs, which come flagged: their terms are already in canonical order.
 # Straight, skew and tall (built on the conjugate, signed) Schur shapes of at
-# most 6 boxes, like h_n and e_n, keep the arithmetic on them small.
+# most 6 boxes, like h_n and e_n, keep the arithmetic on them small; so do the
+# character route's shapes and the alphabet outputs in 2-4 letters: Q powers
+# (Hall-Littlewood), exponents across a slot width (monomial) and pushes, a
+# zero among them.
 KERNEL_POLYNOMIALS = st.sampled_from(
     [family(n) for n in range(7) for family in (homogeneous, elementary)]
     + [schur(YoungDiagram(lam), YoungDiagram(mu)) for lam, mu in [
         ((3, 2, 1), ()), ((3, 3), ()), ((2, 1, 1, 1, 1), ()), ((4, 3, 1), (2, 1)),
-        ((3, 2, 2), (1, 1)), ((2, 2, 2, 1), (1,))]])
+        ((3, 2, 2), (1, 1)), ((2, 2, 2, 1), (1,))]]
+    + [schur_via_characters(YoungDiagram(lam)) for lam in ((4, 1), (2, 2), (3, 2, 1))]
+    + [hall_littlewood(YoungDiagram(lam), AlphabetContext(n)) for lam, n in [
+        ((2, 1), 3), ((3, 2, 1), 3), ((2, 2), 4), ((4,), 2), ((1, 1, 1), 3)]]
+    + [monomial(YoungDiagram(lam), AlphabetContext(n)) for lam, n in [
+        ((2, 1), 3), ((3, 1, 1), 4), ((4, 3), 2), ((1,), 4)]]
+    + [miwa_push(p, AlphabetContext(n)) for p, n in [
+        (schur(YoungDiagram((2, 1))), 3), (homogeneous(4), 2), (elementary(3), 2),
+        (T1 * T2 * Fraction(1, 3) - T2 ** 2 + 5, 3)]])
 
 
 class TestRingAxioms:

@@ -37,7 +37,7 @@ from schurkit import (
     x_var,
 )
 from schurkit.cli import run
-from schurkit.symfun import (HL_BRANCH_CACHE_SIZE, SCHUR_CACHE_SIZE, _branches, _schur,
+from schurkit.symfun import (HL_BRANCH_CACHE_SIZE, SCHUR_CACHE_SIZE, _branches, _orbits, _schur,
                              _schur_via_characters, _t_pairs)
 from schurkit.verify import _at_q_zero_and_one, check_degenerations
 
@@ -776,6 +776,42 @@ class TestMonomial:
             assert swapped == poly
 
 
+class TestOrbits:
+    """``_orbits`` spreads weakly decreasing terms over their orbits and hands
+    them over sorted on packed keys, flagged as in canonical order."""
+
+    def assert_flagged_in_order(self, p):
+        assert p._in_order
+        assert list(p._terms.items()) == Polynomial._raw(p.terms).sorted_terms()
+
+    def test_zero_coefficients_drop_out(self):
+        ctx = AlphabetContext(3)
+        got = _orbits({(0, (2, 1, 0)): 0, (1, (2, 1, 0)): 3, (2, (1, 1, 1)): Fraction(0),
+                       (4, (1, 1, 1)): Fraction(-1, 2)}, ctx.variables())
+        lam21, lam111 = YoungDiagram((2, 1)), YoungDiagram((1, 1, 1))
+        assert got == Q * monomial(lam21, ctx) * 3 - Q ** 4 * monomial(lam111, ctx) * Fraction(1, 2)
+        self.assert_flagged_in_order(got)
+        none = _orbits({(0, (2, 1)): 0, (3, (1, 1)): Fraction(0)}, AlphabetContext(2).variables())
+        assert none == Polynomial.zero()
+        self.assert_flagged_in_order(none)
+
+    def test_more_rows_than_letters_give_zero(self):
+        """A vector with more nonzero parts than letters has an empty orbit."""
+        xs = AlphabetContext(2).variables()
+        assert _orbits({(0, (1, 1, 1)): 1}, xs) == Polynomial.zero()
+        got = _orbits({(0, (1, 1, 1)): 1, (1, (2, 0)): 1}, xs)
+        assert got == Q * (X[1] ** 2 + X[2] ** 2)
+        self.assert_flagged_in_order(got)
+        pushed = miwa_push(elementary(3) * 4 + T[1], AlphabetContext(2))
+        assert pushed == X[1] + X[2]
+        self.assert_flagged_in_order(pushed)
+
+    def test_constant_and_empty_vector(self):
+        got = _orbits({(0, ()): 2, (3, ()): -1}, AlphabetContext(2).variables())
+        assert got == 2 - Q ** 3
+        self.assert_flagged_in_order(got)
+
+
 class TestHallLittlewood:
     def test_single_box(self):
         assert hall_littlewood(YoungDiagram((1,)), AlphabetContext(2)) == X[1] + X[2]
@@ -1139,6 +1175,19 @@ class TestMiwaGolden:
         for key, want in hl.items():
             _, got, refused = built_hl[key]
             assert not refused and got == want, key
+
+    def test_alphabet_and_character_terms_come_flagged_in_canonical_order(self, golden_builds):
+        """monomial, hall_littlewood, miwa_push and schur_via_characters, like
+        h, e and the determinant, hand Polynomial._raw their terms in
+        canonical order and say so; the order is that of the full sort."""
+        built_miwa, built_hl = golden_builds
+        families = ("monomial|", "miwa_push|", "schur_via_characters|")
+        cases = [(key, poly) for key, (poly, _, _) in built_miwa.items() if key.startswith(families)]
+        cases += [(key, poly) for key, (poly, _, _) in built_hl.items()]
+        assert len(cases) == 515 + 325 + 183 + len(built_hl)  # the three families' Miwa keys
+        for key, poly in cases:
+            assert poly._in_order, key
+            assert list(poly._terms.items()) == Polynomial._raw(poly.terms).sorted_terms(), key
 
     def test_t_outputs_skip_fraction_arithmetic(self, golden_builds):
         """h, e, (skew) schur and schur_via_characters reach their golden
