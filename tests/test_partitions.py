@@ -219,10 +219,10 @@ class TestEnumeration:
 
     def test_list_matches_frozen_golden(self):
         """Order is the contract: `list n` prints the frozen bytes for every
-        n <= 25."""
+        n <= 30."""
         golden = json.loads(PARTITIONS_GOLDEN.read_text())["cases"]
-        assert set(golden) == {str(n) for n in range(26)}
-        for n in range(26):
+        assert set(golden) == {str(n) for n in range(31)}
+        for n in range(31):
             status, text = cli.run(["list", str(n)])
             assert status == 0
             assert hashlib.sha256(text.encode()).hexdigest() == golden[str(n)], n

@@ -270,11 +270,26 @@ def miwa_golden_cases():
         lam = YoungDiagram(parts)
         yield f"monomial|{n}|{parts_key(lam)}", lambda lam=lam, n=n: monomial(lam, AlphabetContext(n))
     yield "miwa_push|8|8", lambda: miwa_push(homogeneous(8), AlphabetContext(8))
+    # Frozen later, before the character column walk emitted finished terms:
+    # shapes of 15-20 boxes whose classes hold long runs of equal cycles.
+    for parts in SVC_RUNS:
+        lam = YoungDiagram(parts)
+        yield f"schur_via_characters|{parts_key(lam)}", lambda lam=lam: schur_via_characters(lam)
 
 
 # Shapes of 22-28 boxes whose character-route Schur polynomials are frozen.
 SVC_LARGE = ((6, 5, 4, 3, 2, 1, 1), (8, 6, 4, 2, 2), (7, 7, 5, 3), (5, 5, 5, 5, 2),
              (6, 5, 4, 3, 2, 1, 1, 1, 1), (9, 7, 5, 3, 1), (7, 6, 5, 4, 3, 2, 1))
+
+# Shapes of 15-20 boxes whose character-route Schur polynomials are frozen:
+# each row (n), column (1^n), hook, two-row and two-column shape, once.
+SVC_RUNS = tuple(dict.fromkeys(
+    shape
+    for n in range(15, 21)
+    for shape in ((n,), (1,) * n,
+                  *((a,) + (1,) * (n - a) for a in range(2, n)),
+                  *((n - b, b) for b in range(1, n // 2 + 1)),
+                  *((2,) * b + (1,) * (n - 2 * b) for b in range(1, n // 2 + 1)))))
 
 
 # t-polynomials other than Schur ones for miwa_push: mixed degrees with a
@@ -1184,7 +1199,7 @@ class TestMiwaGolden:
         families = ("monomial|", "miwa_push|", "schur_via_characters|")
         cases = [(key, poly) for key, (poly, _, _) in built_miwa.items() if key.startswith(families)]
         cases += [(key, poly) for key, (poly, _, _) in built_hl.items()]
-        assert len(cases) == 515 + 325 + 183 + len(built_hl)  # the three families' Miwa keys
+        assert len(cases) == 515 + 325 + 183 + len(SVC_RUNS) + len(built_hl)  # the three families' Miwa keys
         for key, poly in cases:
             assert poly._in_order, key
             assert list(poly._terms.items()) == Polynomial._raw(poly.terms).sorted_terms(), key
