@@ -6,11 +6,9 @@ height = rows occupied minus one.  Shapes are beta-sets (first-column hook
 lengths) packed into an int, where stripping a hook of length r moves one set
 bit down by r onto a clear bit; the cycles are consumed in one loop, layer by
 layer, and ``_character`` keeps the last CHARACTER_CACHE_SIZE values asked
-for.  ``_column(parts)``, the miss path of ``schur_via_characters``'s memo,
-gives a shape's whole column of characters from one walk over the cycle types
-with the same strip step: cycle types that share leading cycles share their
-layers.  It keeps nothing between calls; the memo above it keeps the
-polynomial.
+for.  ``symfun._schur_via_characters``, the character route's Schur memo,
+walks a shape's whole column of characters on a miss with the same
+``_beta_set``, ``_strip`` and ``_tableaux``.
 
 Both close their 1-cycles by one tail rule: a layer's character on a rest of
 k 1-cycles is sum count * f^nu, f^nu the number of standard tableaux of the
@@ -129,35 +127,6 @@ def _character(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     for r in cycles:
         layer = _strip(layer, r)
     return sum(count * _tableaux(beta) for beta, count in layer.items() if count)
-
-
-def _column(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """The shape's nonzero characters, {cycles, largest first: value}.
-
-    One walk over the cycle types: a node is a prefix of cycles >= 2 with its
-    layer, and a child strips one more cycle, no larger than the last.  Padded
-    with 1-cycles up to the weight, a prefix is a cycle type whose character is
-    sum count * f^nu over its layer.  A layer whose counts are all zero has no
-    nonzero character below it, so its node has no children.
-    """
-    tableaux: dict[int, int] = {}  # f^nu by beta-set
-    column = {}
-    stack = [((), {_beta_set(parts): 1}, sum(parts))]
-    while stack:
-        prefix, layer, k = stack.pop()
-        chi = 0
-        for beta, count in layer.items():
-            f = tableaux.get(beta)
-            if f is None:
-                f = tableaux[beta] = _tableaux(beta)
-            chi += count * f
-        if chi:
-            column[prefix + (1,) * k] = chi
-        for r in range(min(prefix[-1] if prefix else k, k), 1, -1):
-            nxt = _strip(layer, r)
-            if any(nxt.values()):
-                stack.append((prefix + (r,), nxt, k - r))
-    return column
 
 
 def _key(cycle_type: ConjugacyClass) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ import sys
 import time
 
 from .characters import character
-from .partitions import ConjugacyClass, YoungDiagram, partitions_of
+from .partitions import ConjugacyClass, YoungDiagram, _parts_of, partitions_of
 from .polyalgebra import canonical_text, to_term_list
 from .symfun import (AlphabetContext, _branches, _schur, elementary, hall_littlewood, homogeneous,
                      monomial, schur)
@@ -123,6 +123,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+class _PartText(dict):
+    """``list``'s parts, each written on first use as its decimal text."""
+
+    __slots__ = ()
+
+    def __missing__(self, part):
+        self[part] = text = str(part)
+        return text
+
+
 def _digits(n: int) -> str:
     """Every digit of n, also past the digit limit of CPython's int-to-str
     conversion (sys.get_int_max_str_digits), where str() raises."""
@@ -176,9 +186,8 @@ def run(argv: list[str]) -> tuple[int, str]:
             return 0, parse_parts(args.parts).draw(args.symbol)
 
         if args.command == "list":
-            return 0, "\n".join(
-                ",".join([str(p) for p in d.parts]) for d in partitions_of(args.n)
-            )
+            part = _PartText().__getitem__  # made per call: it fills with the parts met
+            return 0, "\n".join([",".join(map(part, parts)) for parts in _parts_of(args.n)])
 
         if args.command in ("homogeneous", "elementary"):
             poly = homogeneous(args.n) if args.command == "homogeneous" else elementary(args.n)

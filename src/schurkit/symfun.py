@@ -24,7 +24,7 @@ and ``miwa_push``'s takes in a cache made per call.  x1 needs no table: it
 takes what is left.  Kernel loops run on ints; each kernel makes at most one
 ``Fraction`` per output coefficient and hands its canonical terms to
 ``Polynomial._raw``, not ``Polynomial(...)``, in canonical order and flagged
-so: h_n and e_n as ``partitions_of`` walks them, the other kernels sorted
+so: h_n and e_n as ``_parts_of`` walks them, the other kernels sorted
 once on packed int keys (``_t_slots`` for both Schur routes)."""
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from functools import cache, lru_cache
 from itertools import combinations, groupby, product
 from math import comb, factorial, lcm, prod
 
-from .characters import _column
-from .partitions import YoungDiagram, partitions_of
+from .characters import _beta_set, _strip, _tableaux
+from .partitions import YoungDiagram, _parts_of
 from .polyalgebra import Polynomial, Variable, q_var, t_var, x_var
 
 __all__ = [
@@ -147,13 +147,12 @@ def _cycle_types(n: int, signed: bool) -> Polynomial:
     """The sum over cycle types of weight n >= 0, with k_j cycles of length j,
     of prod_j t_j^{k_j} / k_j!, each term signed (-1)^(n - r) for r cycles when
     ``signed``: h_n, and e_n = omega(h_n) (Macdonald I (2.14')).  Terms share
-    one ``Fraction`` per signed denominator.  ``partitions_of`` reads the
+    one ``Fraction`` per signed denominator.  ``_parts_of`` reads the
     ascending compositions in lexicographic order, which is descending
     (k_1, k_2, ...): the terms come out in canonical order."""
     rows = _t_pairs(n)
     terms, coeffs = {}, {}
-    for lam in partitions_of(n):
-        parts = lam.parts
+    for parts in _parts_of(n):
         mono, den = [], 1
         for j, run in groupby(parts):
             k = len(list(run))
@@ -218,14 +217,14 @@ def schur(lam: YoungDiagram, mu: YoungDiagram | None = None) -> Polynomial:
 @lru_cache(maxsize=SCHUR_CACHE_SIZE)
 def _schur(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> Polynomial:
     """``schur`` on the parts of lam and mu, () for an omitted mu."""
-    lam, inner = YoungDiagram._from_sorted(lam_parts), YoungDiagram._from_sorted(mu_parts)
-    m, wide = max(lam.rows, inner.rows), max(lam.columns, inner.columns)
+    m, wide = max(len(lam_parts), len(mu_parts)), max(lam_parts[:1] + mu_parts[:1], default=0)
     signed = wide < m
+    d = sum(lam_parts) - sum(mu_parts)
+    if min(m, wide) <= 1:  # h_d or e_d itself, 1 for two empty shapes: no diagram made
+        return _cycle_types(d, signed) if d >= 0 else Polynomial.zero()
+    lam, inner = YoungDiagram._from_sorted(lam_parts), YoungDiagram._from_sorted(mu_parts)
     if signed:
         lam, inner, m = lam.transpose(), inner.transpose(), wide
-    d = lam.boxes - inner.boxes
-    if m <= 1:  # h_d or e_d itself, 1 for two empty shapes
-        return _cycle_types(d, signed) if d >= 0 else Polynomial.zero()
     entry = elementary if signed else homogeneous  # entries read the memo
     lp = lam.parts + (0,) * (m - lam.rows)
     mp = inner.parts + (0,) * (m - inner.rows)
@@ -292,8 +291,9 @@ def schur_via_characters(lam: YoungDiagram) -> Polynomial:
     Independent route: s_lam = sum_rho chi^lam(rho) p_rho / z_rho (Macdonald
     I (7.8)), in the t-coordinates chi^lam(rho) * prod_j t_j^{k_j} / k_j!,
     k_j the number of j-cycles of rho.  Only the nonzero characters carry
-    terms, and the shape's column (``_column``, one Murnaghan-Nakayama walk)
-    holds exactly those.
+    terms, and one Murnaghan-Nakayama walk over the shape's column of
+    characters yields exactly those, each as a finished term; the column is
+    not kept.
 
     Each cycle type is keyed with the determinant's t-slot layout
     (``_t_slots``); the keys are sorted once, descending, and the terms
@@ -308,18 +308,32 @@ def schur_via_characters(lam: YoungDiagram) -> Polynomial:
 
 @lru_cache(maxsize=SCHUR_CACHE_SIZE)
 def _schur_via_characters(parts: tuple[int, ...]) -> Polynomial:
-    """``schur_via_characters`` on lam's parts; a miss walks ``_column``."""
+    """``schur_via_characters`` on lam's parts: one walk over the cycle types.
+
+    A node is a run of cycles >= 2, largest first, with the layer its strips
+    leave, and a child strips one more cycle r, no larger than the last, unless
+    its counts all cancel.  Padded with k 1-cycles, a node is a cycle type of
+    character sum count * f^nu over its layer.  It carries its term but for the
+    1-cycles: last cycle, that cycle's run count, packed key, prod_j k_j! and
+    ascending monomial tail, whose head a child for the last cycle bumps."""
     n = sum(parts)
-    rows, shift = _t_pairs(n), _t_slots(n, n)
-    keyed = {}
-    for cycles, chi in _column(parts).items():
-        mono, den, key = [], 1, 0
-        for j, run in groupby(reversed(cycles)):  # t_j ascending
-            k = len(list(run))
-            mono.append(rows[j][k])
-            den *= factorial(k)
-            key += k << shift[j]
-        keyed[key] = tuple(mono), Fraction(chi, den)
+    rows, shift = _t_pairs(n), _t_slots(n, max(n, 1))  # t1's slot also for n = 0
+    tableaux, keyed = {}, {}  # f^nu by beta-set, terms by packed key
+    stack = [({_beta_set(parts): 1}, n, n, 0, 0, 1, ())]  # layer, k, last, run, key, den, tail
+    while stack:
+        layer, k, last, run, key, den, tail = stack.pop()
+        chi = 0
+        for beta, count in layer.items():  # f^nu >= 1: a stored one is true
+            chi += count * (tableaux.get(beta) or tableaux.setdefault(beta, _tableaux(beta)))
+        if chi:
+            keyed[key + (k << shift[1])] = ((rows[1][k],) + tail if k else tail,
+                                             Fraction(chi, den * factorial(k)))
+        for r in range(min(last, k), 1, -1):
+            nxt = _strip(layer, r)
+            if any(nxt.values()):
+                j = run + 1 if r == last else 1  # r's run count in the child
+                stack.append((nxt, k - r, r, j, key + (1 << shift[r]), den * j,
+                              (rows[r][j],) + (tail[1:] if j > 1 else tail)))
     return Polynomial._raw(dict(map(keyed.__getitem__, sorted(keyed, reverse=True))), in_order=True)
 
 

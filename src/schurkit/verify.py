@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .characters import _character, _key, character, dimension, z_order
 from .partitions import ConjugacyClass, partitions_of
@@ -67,19 +68,18 @@ def check_characters(max_boxes: int) -> tuple[str, bool, int]:
         z = [z_order(mu) for mu in classes]
         order = factorial(n)
         sizes = [order // z_mu for z_mu in z]  # permutations of cycle type mu
-        # first orthogonality over all shape pairs, times n!
+        # first orthogonality over all shape pairs, times n!; rows weighted once
         for a, row_a in enumerate(table):
+            weighted = list(map(mul, sizes, row_a))
             for b, row_b in enumerate(table):
-                total = sum(size * x * y for size, x, y in zip(sizes, row_a, row_b))
-                if total != (order if a == b else 0):
+                if sum(map(mul, weighted, row_b)) != (order if a == b else 0):
                     ok = False
                 cases += 1
         # second orthogonality over all class pairs
         columns = list(zip(*table))
         for mu, col_mu in enumerate(columns):
             for nu, col_nu in enumerate(columns):
-                total = sum(x * y for x, y in zip(col_mu, col_nu))
-                if total != (z[mu] if mu == nu else 0):
+                if sum(map(mul, col_mu, col_nu)) != (z[mu] if mu == nu else 0):
                     ok = False
                 cases += 1
         # identity class equals the hook-length dimension

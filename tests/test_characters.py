@@ -2,15 +2,15 @@ import hashlib
 import json
 import time
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
 
 from schurkit import (ConjugacyClass, YoungDiagram, character, dimension, partitions_of,
                       schur_via_characters, z_order)
-from schurkit import characters, symfun
-from schurkit.characters import _beta_set, _character, _column, _tableaux
+from schurkit import characters, partitions, symfun
+from schurkit.characters import _beta_set, _character, _tableaux
 from schurkit.verify import check_characters
 
 from oracles import frobenius_character
@@ -40,6 +40,18 @@ CHARACTER_GOLDEN = Path(__file__).parent / "fixtures" / "character_golden.json"
 
 def classes_of(n):
     return [d.conjugacy_class() for d in partitions_of(n)]
+
+
+def column(lam):
+    """The shape's nonzero characters, {cycles, largest first: value}, read
+    from its character-route Schur polynomial: the term of a cycle type with
+    k_j cycles of length j is chi * prod_j t_j^{k_j} / k_j!."""
+    out = {}
+    for mono, c in schur_via_characters(lam).terms.items():
+        chi = c * prod(factorial(e) for _, e in mono)
+        assert chi.denominator == 1, (lam.parts, mono)
+        out[tuple(v.index for v, e in reversed(mono) for _ in range(e))] = chi.numerator
+    return out
 
 
 def key(cycles):
@@ -119,7 +131,7 @@ class TestKnownTables:
             shapes = list(partitions_of(n))
             rows = [[character(s, cc) for cc in classes] for s in shapes]
             columns = [[col.get(cc.cycles(), 0) for cc in classes]
-                       for col in (_column(s.parts) for s in shapes)]
+                       for col in map(column, shapes)]
             for table in (rows, columns):
                 wire = json.dumps(table, separators=(",", ":"))
                 assert hashlib.sha256(wire.encode()).hexdigest() == golden[str(n)], n
@@ -189,21 +201,22 @@ class TestFrobeniusOracle:
         column, against the coefficient of x^(lam+delta) in a_delta * p_mu."""
         for n in range(8):
             for lam in partitions_of(n):
-                column = _column(lam.parts)
+                col = column(lam)
                 for cc in classes_of(n):
                     want = frobenius_character(lam.parts, cc.cycles())
                     assert character(lam, cc) == want, (lam.parts, cc.cycles())
-                    assert column.get(cc.cycles(), 0) == want, (lam.parts, cc.cycles())
+                    assert col.get(cc.cycles(), 0) == want, (lam.parts, cc.cycles())
 
 
 class TestColumn:
     def test_matches_one_character_per_call(self):
-        """A shape's column is its nonzero characters, for n <= 12."""
+        """A shape's column, read from its character-route Schur terms, is
+        its nonzero characters, for n <= 12."""
         for n in range(13):
             classes = [mu.parts for mu in partitions_of(n)]
             for lam in partitions_of(n):
                 pointwise = {mu: _character(lam.parts, key(mu)) for mu in classes}
-                assert _column(lam.parts) == {mu: x for mu, x in pointwise.items() if x}, lam.parts
+                assert column(lam) == {mu: x for mu, x in pointwise.items() if x}, lam.parts
 
     def test_character_route_schur_uses_only_the_column(self, monkeypatch):
         """A 28-box shape walks one column, once across repeated calls, and
@@ -217,11 +230,11 @@ class TestColumn:
 
         def counted(parts):
             walked.append(parts)
-            return _column(parts)
+            return _beta_set(parts)
 
-        for name in ("partitions_of", "homogeneous", "elementary"):
+        for name in ("_parts_of", "homogeneous", "elementary"):
             monkeypatch.setattr(symfun, name, refuse)
-        monkeypatch.setattr(symfun, "_column", counted)
+        monkeypatch.setattr(symfun, "_beta_set", counted)
         symfun._schur_via_characters.cache_clear()
         before = _character.cache_info()[:2]  # hits, misses
         lam = YoungDiagram((7, 6, 5, 4, 3, 2, 1))
@@ -230,7 +243,7 @@ class TestColumn:
             assert schur_via_characters(YoungDiagram(lam.parts)) is poly
         assert _character.cache_info()[:2] == before
         assert walked == [lam.parts]
-        assert len(poly.terms) == len(_column(lam.parts)) == 159
+        assert len(poly.terms) == len(column(lam)) == 159
 
     def test_one_class_walks_one_cycle_type(self, monkeypatch):
         """character() on 1000 fixed points peels one cycle type, never a
@@ -238,8 +251,9 @@ class TestColumn:
         def refuse(*args):
             raise AssertionError("character() walked a column")
 
-        monkeypatch.setattr(characters, "_column", refuse)
-        monkeypatch.setattr(symfun, "_column", refuse)
+        monkeypatch.setattr(symfun, "_schur_via_characters", refuse)
+        for name in ("_parts_of", "partitions_of"):
+            monkeypatch.setattr(partitions, name, refuse)
         _character.cache_clear()
         assert character(YoungDiagram((1000,)), ConjugacyClass({1: 1000})) == 1
         assert _character.cache_info().misses == 1

@@ -121,13 +121,12 @@ def test_clearing_the_module_caches_keeps_the_bytes():
 
 def test_module_caches_are_the_listed_ones():
     """No module keeps a cache that the clearing test above does not clear;
-    a shape's character column, in particular, lives only in the character
-    route's memo."""
+    a shape's character column, in particular, is walked only on a miss of
+    the character route's memo, and kept nowhere."""
     modules = (schurkit, partitions, polyalgebra, symfun, characters, verify, cli)
     found = {id(obj): obj for module in modules
              for obj in vars(module).values() if hasattr(obj, "cache_info")}
     assert sorted(found) == sorted(map(id, MODULE_CACHES))
-    assert not hasattr(characters._column, "cache_info")
 
 
 def test_memos_of_unbounded_domains_are_bounded():

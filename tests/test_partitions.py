@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schurkit import ConjugacyClass, YoungDiagram, cli, partitions_of
+from schurkit.partitions import _parts_of
 from oracles import boxes_of, dp_partition_counts, grid_transpose, naive_partitions
 
 PARTITIONS_GOLDEN = Path(__file__).parent / "fixtures" / "partitions_golden.json"
@@ -233,6 +234,20 @@ class TestEnumeration:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             list(partitions_of(-1))
+
+    def test_rejects_negative_only_when_iterated(self):
+        for walk in (partitions_of, _parts_of):
+            walked = walk(-1)
+            with pytest.raises(ValueError):
+                next(walked)
+
+    def test_diagrams_wrap_the_bare_walk(self):
+        """partitions_of yields diagrams over the parts _parts_of yields, in
+        the same order, for n <= 20."""
+        for n in range(21):
+            diagrams = list(partitions_of(n))
+            assert all(type(d) is YoungDiagram for d in diagrams)
+            assert [d.parts for d in diagrams] == list(_parts_of(n)), n
 
 
 class TestDraw:

@@ -36,6 +36,7 @@ from schurkit import (
     to_term_list,
     x_var,
 )
+from schurkit import cli, partitions
 from schurkit.cli import run
 from schurkit.symfun import (HL_BRANCH_CACHE_SIZE, SCHUR_CACHE_SIZE, _branches, _orbits, _schur,
                              _schur_via_characters, _t_pairs)
@@ -307,6 +308,7 @@ MIWA_INPUTS = {
 
 
 SCHUR_GOLDEN = Path(__file__).parent / "fixtures" / "schur_golden.json"
+PARTITIONS_GOLDEN = Path(__file__).parent / "fixtures" / "partitions_golden.json"
 
 # Large shapes frozen beside the grids: a square, the 7-row staircase, a
 # diagonal far below min(rows, columns), and four long rows.
@@ -1230,3 +1232,23 @@ class TestSchurGolden:
         for key, poly in schur_golden_builds.items():
             assert poly._in_order, key
             assert list(poly._terms.items()) == Polynomial._raw(poly.terms).sorted_terms(), key
+
+    def test_h_e_and_list_make_no_diagram(self, monkeypatch):
+        """h_n and e_n, built cold, and `list` read bare part tuples: with
+        every way to make a YoungDiagram refused, and partitions_of too, they
+        still give their frozen bytes."""
+        def refuse(*args):
+            raise AssertionError("a YoungDiagram was made")
+
+        monkeypatch.setattr(YoungDiagram, "__init__", refuse)
+        monkeypatch.setattr(YoungDiagram, "_from_sorted", refuse)
+        monkeypatch.setattr(partitions, "partitions_of", refuse)
+        monkeypatch.setattr(cli, "partitions_of", refuse)
+        golden = json.loads(SCHUR_GOLDEN.read_text())["cases"]
+        _schur.cache_clear()
+        for n in range(13):
+            for name, build in (("homogeneous", homogeneous), ("elementary", elementary)):
+                assert digests(build(n)) == golden[f"{name}|{n}"], (name, n)
+        listed = json.loads(PARTITIONS_GOLDEN.read_text())["cases"]["12"]
+        status, text = run(["list", "12"])
+        assert (status, hashlib.sha256(text.encode()).hexdigest()) == (0, listed)
