@@ -36,7 +36,8 @@ from schurkit import (
     to_term_list,
     x_var,
 )
-from schurkit import cli, partitions
+import schurkit
+from schurkit import characters, cli, partitions, polyalgebra, symfun
 from schurkit.cli import run
 from schurkit.symfun import (HL_BRANCH_CACHE_SIZE, SCHUR_CACHE_SIZE, _branches, _orbits, _schur,
                              _schur_via_characters, _t_pairs)
@@ -1235,15 +1236,19 @@ class TestSchurGolden:
 
     def test_h_e_and_list_make_no_diagram(self, monkeypatch):
         """h_n and e_n, built cold, and `list` read bare part tuples: with
-        every way to make a YoungDiagram refused, and partitions_of too, they
-        still give their frozen bytes."""
+        YoungDiagram's constructors and every binding of partitions_of, which
+        makes its diagrams inline, refused, they still give their frozen
+        bytes."""
         def refuse(*args):
             raise AssertionError("a YoungDiagram was made")
 
         monkeypatch.setattr(YoungDiagram, "__init__", refuse)
         monkeypatch.setattr(YoungDiagram, "_from_sorted", refuse)
-        monkeypatch.setattr(partitions, "partitions_of", refuse)
-        monkeypatch.setattr(cli, "partitions_of", refuse)
+        walk = partitions.partitions_of
+        for module in (schurkit, partitions, polyalgebra, characters, symfun, cli):
+            for name, value in list(vars(module).items()):
+                if value is walk:
+                    monkeypatch.setattr(module, name, refuse)
         golden = json.loads(SCHUR_GOLDEN.read_text())["cases"]
         _schur.cache_clear()
         for n in range(13):
