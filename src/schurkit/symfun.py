@@ -21,11 +21,14 @@ state's branches do not depend on the letter, so each caller tabulates them
 once: Hall-Littlewood's horizontal strips and their psi factors live in
 ``_branches``, one entry per shape, the last HL_BRANCH_CACHE_SIZE shapes used,
 and ``miwa_push``'s takes in a cache made per call.  x1 needs no table: it
-takes what is left.  Kernel loops run on ints; each kernel makes at most one
-``Fraction`` per output coefficient and hands its canonical terms to
-``Polynomial._raw``, not ``Polynomial(...)``, in canonical order and flagged
-so: h_n and e_n as ``_parts_of`` walks them, the other kernels sorted
-once on packed int keys (``_t_slots`` for both Schur routes)."""
+takes what is left.  Finished Hall-Littlewood polynomials live in a memo of
+their own, ``_hall_littlewood``, one entry per (shape, letters) pair, the
+last HL_CACHE_SIZE pairs used; the tables serve its misses.  Kernel loops run
+on ints; each kernel makes at most one ``Fraction`` per output coefficient
+and hands its canonical terms to ``Polynomial._raw``, not
+``Polynomial(...)``, in canonical order and flagged so: h_n and e_n as
+``_parts_of`` walks them, the other kernels sorted once on packed int keys
+(``_t_slots`` for both Schur routes)."""
 
 from __future__ import annotations
 
@@ -58,6 +61,13 @@ __all__ = [
 # by characters alone) or 0 and 0 (hl-build); an LRU smaller than a repeated
 # sweep's working set would evict each entry before its next use.
 SCHUR_CACHE_SIZE = 128
+
+# Entries of the Hall-Littlewood memo ``_hall_littlewood``, one per (shape,
+# letters) pair.  The largest verify sweep, every shape of at most 8 boxes in 3
+# and 4 letters, builds 94 pairs, and one dealt hl-build benchmark round 46-49
+# (51-54 of its 100 requests repeat a pair).  An entry is the whole polynomial:
+# (4,3,2,1) in 8 letters, 55 408 terms, keeps about 7.6 MB.
+HL_CACHE_SIZE = 128
 
 # Shapes whose Hall-Littlewood branches ``_branches`` keeps.  The largest
 # verify sweep, every shape of at most 8 boxes in 3 and 4 letters, tabulates
@@ -475,13 +485,24 @@ def hall_littlewood(lam: YoungDiagram, alphabet: AlphabetContext, workers: int =
     to the Schur polynomial and at Q=1 to the monomial one.  ``workers`` must
     be a positive int and is otherwise ignored: the build runs in the calling
     thread.
+
+    Memoized per (parts, letters) pair, the last HL_CACHE_SIZE pairs used,
+    in ``_hall_littlewood`` (``cache_info()``, ``cache_clear()``); every
+    ``workers`` reads the same entry, and a call refused above stores
+    nothing.  A hit returns the same Polynomial object, which is immutable.
     """
     n = alphabet.count
     if lam.rows > n:
         raise ValueError(f"partition has {lam.rows} rows but the alphabet only {n} variables")
     if type(workers) is not int or workers < 1:
         raise ValueError("workers must be positive")
-    return _orbits(_peel({lam.parts: {(0, ()): 1}}, n, _branches, sum), alphabet.variables())
+    return _hall_littlewood(lam.parts, n)
+
+
+@lru_cache(maxsize=HL_CACHE_SIZE)
+def _hall_littlewood(parts: tuple[int, ...], n: int) -> Polynomial:
+    """``hall_littlewood`` on lam's parts in n letters, at most n rows."""
+    return _orbits(_peel({parts: {(0, ()): 1}}, n, _branches, sum), AlphabetContext(n).variables())
 
 
 def miwa_push(p: Polynomial, alphabet: AlphabetContext) -> Polynomial:

@@ -10,7 +10,7 @@ import pytest
 from schurkit import canonical_text, from_term_list, verify
 from schurkit.cli import build_parser, main, run
 from schurkit.characters import _character
-from schurkit.symfun import _branches, _schur, _schur_via_characters
+from schurkit.symfun import _branches, _hall_littlewood, _schur, _schur_via_characters
 
 S321 = "t1**6/45 - t1**3*t3/3 + t1*t5 - t3**2"
 M321 = (
@@ -163,6 +163,18 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "_character", flipped)
         assert run(["verify", "characters", "--max-boxes", "3"]) == (3, "characters: FAIL (36 cases)")
 
+    def test_wrong_dimension_fails(self, monkeypatch):
+        """The identity-class check catches one shape whose hook-length
+        dimension is off by one; no other sweep reads it."""
+        real = verify.dimension
+
+        def perturbed(lam):
+            value = real(lam)
+            return value + 1 if lam.parts == (2, 1) else value
+
+        monkeypatch.setattr(verify, "dimension", perturbed)
+        assert run(["verify", "characters", "--max-boxes", "3"]) == (3, "characters: FAIL (36 cases)")
+
     @pytest.mark.parametrize("name", ["schur", "monomial"])
     def test_wrong_degeneration_fails(self, name, monkeypatch):
         """The degeneration sweep catches one shape's Q=0 side (Schur) or
@@ -299,13 +311,17 @@ class TestBenchCommand:
         """bench hall-littlewood empties the branch table before its timer,
         so a repeat tabulates every shape again and reads none left by the
         first run: a warm repeat would count no misses.  Hits are the shapes
-        a build meets again at a later letter, the same in both runs."""
+        a build meets again at a later letter, the same in both runs.  It
+        calls the kernel behind the HL memo, which it neither reads nor
+        fills."""
+        memo = _hall_littlewood.cache_info()
         assert run(["bench", "hall-littlewood", "5"])[0] == 0
         first = _branches.cache_info()
         assert run(["bench", "hall-littlewood", "5"])[0] == 0
         again = _branches.cache_info()
         assert again.misses == first.misses > 0
         assert again.hits == first.hits
+        assert _hall_littlewood.cache_info() == memo
 
     def test_size_bounds(self, capsys):
         assert run(["bench", "partitions", "81"])[0] == 2

@@ -92,6 +92,7 @@ MODULE_CACHES = [
     symfun._t_pairs,
     symfun._schur,
     symfun._branches,
+    symfun._hall_littlewood,
     symfun._schur_via_characters,
     characters._character,
     cli.build_parser,
@@ -130,11 +131,12 @@ def test_module_caches_are_the_listed_ones():
 
 
 def test_memos_of_unbounded_domains_are_bounded():
-    """Both Schur memos, the Hall-Littlewood branch table and the character
-    cache take any shape, so each keeps at most its module constant of
-    entries."""
+    """Both Schur memos, the Hall-Littlewood memo and branch table and the
+    character cache take any shape, so each keeps at most its module constant
+    of entries."""
     for cached, bound in ((symfun._schur, symfun.SCHUR_CACHE_SIZE),
                           (symfun._schur_via_characters, symfun.SCHUR_CACHE_SIZE),
+                          (symfun._hall_littlewood, symfun.HL_CACHE_SIZE),
                           (symfun._branches, symfun.HL_BRANCH_CACHE_SIZE),
                           (characters._character, characters.CHARACTER_CACHE_SIZE)):
         assert type(bound) is int and cached.cache_info().maxsize == bound, cached.__name__

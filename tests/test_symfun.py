@@ -39,8 +39,8 @@ from schurkit import (
 import schurkit
 from schurkit import characters, cli, partitions, polyalgebra, symfun
 from schurkit.cli import run
-from schurkit.symfun import (HL_BRANCH_CACHE_SIZE, SCHUR_CACHE_SIZE, _branches, _orbits, _schur,
-                             _schur_via_characters, _t_pairs)
+from schurkit.symfun import (HL_BRANCH_CACHE_SIZE, SCHUR_CACHE_SIZE, _branches, _hall_littlewood,
+                             _orbits, _schur, _schur_via_characters, _t_pairs)
 from schurkit.verify import _at_q_zero_and_one, check_degenerations
 
 from oracles import (dp_partition_counts, frobenius_character, hall_littlewood_numerator,
@@ -127,10 +127,11 @@ def refuse_generic_arithmetic(*args):
 
 def build_refusing_arithmetic(cases, refuse_fraction_arithmetic):
     """{key: (poly, digests, refused)} for (key, thunk) pairs, each built once
-    with the Schur memo (h and e among its entries) emptied first, and with
-    Fraction arithmetic and substitute, products and powers of Polynomials
-    refused.  A case that reaches one of them is marked refused and built
-    again without the refusals, so its bytes are still judged."""
+    with the Schur memo (h and e among its entries) and the Hall-Littlewood
+    memo emptied first, and with Fraction arithmetic and substitute, products
+    and powers of Polynomials refused.  A case that reaches one of them is
+    marked refused and built again without the refusals, so its bytes are
+    still judged."""
     cases = dict(cases)
     out = {}
     with pytest.MonkeyPatch.context() as patch:
@@ -138,6 +139,7 @@ def build_refusing_arithmetic(cases, refuse_fraction_arithmetic):
         for name in ("substitute", "__mul__", "__rmul__", "__pow__"):
             patch.setattr(Polynomial, name, refuse_generic_arithmetic)
         _schur.cache_clear()
+        _hall_littlewood.cache_clear()
         for key, build in cases.items():
             try:
                 poly = build()
@@ -165,6 +167,13 @@ def cold_schur():
     """An empty Schur memo, so that a test judging how schur builds sees a
     build and not a hit left by an earlier test."""
     _schur.cache_clear()
+
+
+@pytest.fixture
+def cold_hl():
+    """An empty Hall-Littlewood memo, so that a test judging how an HL
+    polynomial is built sees a build and not a hit left by an earlier test."""
+    _hall_littlewood.cache_clear()
 
 
 def parts_key(lam):
@@ -834,7 +843,7 @@ class TestHallLittlewood:
     def test_single_box(self):
         assert hall_littlewood(YoungDiagram((1,)), AlphabetContext(2)) == X[1] + X[2]
 
-    def test_last_letter_reads_no_table(self):
+    def test_last_letter_reads_no_table(self, cold_hl):
         """x1 takes the one row left whole: a build tabulates only the shapes
         met at the letters xN..x2."""
         _branches.cache_clear()
@@ -843,21 +852,24 @@ class TestHallLittlewood:
         hall_littlewood(YoungDiagram((2, 1)), AlphabetContext(2))
         assert _branches.cache_info().currsize == 1
 
-    def test_branch_table_is_order_independent(self):
+    def test_branch_table_is_order_independent(self, cold_hl):
         """Builds over a fixed shuffle of every shape of 13 and 14 boxes and at
         most 3 rows, each in 3 and in 4 letters, so that one sub-shape comes
         up under several letter counts, read the branch table as the earlier
         builds left it, and overflow its bound.  Each matches a build made
-        right after the table was emptied."""
+        right after the table was emptied.  The HL memo is emptied before
+        every build, so that each pass builds and tabulates."""
         pairs = [(lam, n) for boxes in (13, 14) for lam in partitions_of(boxes)
                  if lam.rows <= 3 for n in (3, 4)]
         random.Random(5).shuffle(pairs)
         cold = {}
         for lam, n in pairs:
+            _hall_littlewood.cache_clear()
             _branches.cache_clear()
             cold[lam.parts, n] = canonical_text(hall_littlewood(lam, AlphabetContext(n)))
         _branches.cache_clear()
         for lam, n in pairs:
+            _hall_littlewood.cache_clear()
             assert canonical_text(hall_littlewood(lam, AlphabetContext(n))) == cold[lam.parts, n]
         info = _branches.cache_info()
         assert info.currsize == HL_BRANCH_CACHE_SIZE < info.misses  # the LRU evicted
@@ -1009,12 +1021,38 @@ class TestHallLittlewood:
                 else:
                     assert dropped == hall_littlewood(lam, AlphabetContext(n - 1)), (n, lam.parts)
 
-    def test_eight_letters_within_budget(self):
+    def test_eight_letters_within_budget(self, cold_hl):
         """Fails if the build goes back to a cost that grows like n!."""
         start = time.perf_counter()
         poly = hall_littlewood(YoungDiagram((3, 2, 1)), AlphabetContext(8))
         assert time.perf_counter() - start < 5.0
         assert len(poly.terms) == 4648
+
+
+class TestHallLittlewoodMemo:
+    """hall_littlewood keeps its last HL_CACHE_SIZE (parts, letters) pairs in
+    _hall_littlewood."""
+
+    def test_hit_returns_the_same_object(self, cold_hl):
+        built = hall_littlewood(YoungDiagram((3, 2, 1)), AlphabetContext(4))
+        assert hall_littlewood(YoungDiagram([3, 2, 1]), AlphabetContext(4)) is built
+        assert hall_littlewood(YoungDiagram((3, 2, 1)), AlphabetContext(5)) is not built
+
+    def test_workers_share_one_entry(self, cold_hl):
+        lam, ctx = YoungDiagram((2, 2, 1)), AlphabetContext(4)
+        built = hall_littlewood(lam, ctx, workers=1)
+        assert hall_littlewood(lam, ctx, workers=2) is built
+        info = _hall_littlewood.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize("lam, n, workers", [((1, 1, 1), 2, 1), ((2, 1), 3, 0),
+                                                 ((2, 1), 3, 1.5), ((2, 1), 3, True)])
+    def test_refused_call_stores_nothing(self, cold_hl, lam, n, workers):
+        """Too many rows, or workers not a positive int: raised before the memo."""
+        with pytest.raises(ValueError):
+            hall_littlewood(YoungDiagram(lam), AlphabetContext(n), workers=workers)
+        info = _hall_littlewood.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
 
 
 class TestMiwaPush:
